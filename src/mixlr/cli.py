@@ -115,11 +115,23 @@ def _cmd_lr(args) -> int:
         num = marginal_quadrature(profile, hp, table, policy, config, prior)
         den = marginal_quadrature(profile, hd, table, policy, config, prior)
         ratio = lr_int(num, den)
-        out["int"] = {
-            "marginal_hp": num.marginal,
-            "marginal_hd": den.marginal,
-            "lr_int": ratio,
-        }
+        out["int"] = {"lr_int": ratio}
+        for tag, res in (("hp", num), ("hd", den)):
+            out["int"].update(
+                {
+                    f"marginal_{tag}": res.marginal,
+                    f"converged_{tag}": res.converged,
+                    f"levels_{tag}": res.levels,
+                    f"resolution_{tag}": res.resolution,
+                }
+            )
+            if not res.converged:
+                print(
+                    f"warning: the {res.hypothesis} marginal did not converge after "
+                    f"{res.levels} levels ({res.resolution} points per axis); "
+                    "the integrated LR is unconverged",
+                    file=sys.stderr,
+                )
         shown = "EXCLUSION" if ratio == 0 else f"{ratio:.6g}"
         print(f"Integrated LR: {shown}")
     if args.out:
@@ -193,10 +205,6 @@ def _cmd_calibrate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mixlr", description=__doc__)
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="worker cap; results are identical for any value",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("toy", help="run the two-peak benchmark")

@@ -28,7 +28,6 @@ QUADRATURE = "QUADRATURE"
 MONTE_CARLO = "MONTE_CARLO"
 
 MAX_QUADRATURE_DIMS = 5
-_EVAL_CHUNK = 8192
 # initial points per axis by dimensionality; doubled on refinement
 _INIT_N = {1: 128, 2: 48, 3: 16, 4: 8, 5: 6}
 
@@ -131,15 +130,6 @@ def _mean_of_log10(lls: np.ndarray) -> tuple[float, float]:
     return 10.0**m * mean, m + math.log10(mean)
 
 
-def _cube_eval(ev: MixtureEvaluator, cube: _CubeMap, u: np.ndarray) -> np.ndarray:
-    out = np.empty(len(u))
-    for lo in range(0, len(u), _EVAL_CHUNK):
-        chunk = u[lo : lo + _EVAL_CHUNK]
-        templates, c2, slope, bw, fw = cube.map(chunk)
-        out[lo : lo + len(chunk)] = ev.marginal_log10(templates, c2, slope, bw, fw)
-    return out
-
-
 def marginal_quadrature(
     profile: Profile,
     proposition: Proposition,
@@ -170,15 +160,16 @@ def marginal_quadrature(
         )
     n = resolution or _INIT_N[cube.ndim]
     prev = None
-    value, log10_value, converged, level = 0.0, NEG_INF, False, 0
-    while level < max_levels:
+    converged, level = False, 0
+    while True:
         level += 1
         axes = [(np.arange(n) + 0.5) / n] * cube.ndim
         mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        lls = _cube_eval(ev, cube, mesh)
+        lls = ev.marginal_log10(*cube.map(mesh))
         value, log10_value = _mean_of_log10(lls)
         if prev is not None and abs(value - prev) <= rtol * max(abs(value), 1e-300):
             converged = True
+        if converged or level >= max_levels:
             break
         prev = value
         n *= 2
@@ -214,7 +205,7 @@ def marginal_monte_carlo(
     cube = _CubeMap(proposition.noc, config, prior)
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(n_samples, cube.ndim))
-    lls = _cube_eval(ev, cube, u)
+    lls = ev.marginal_log10(*cube.map(u))
     value, log10_value = _mean_of_log10(lls)
     m = float(np.max(lls))
     if m == NEG_INF:
@@ -281,11 +272,13 @@ def deconvolution_weights(
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     templates, c2, slope, bw, fw = cube.map(mesh)
 
-    # per-locus (nodes, n_sets) log10 likelihoods
-    per_ll = {
-        lev.locus: lev.set_log10_likelihoods(templates, c2, slope, bw, fw)
-        for lev in ev.evaluators
-    }
+    # per-locus (nodes, enumerated sets) log10 likelihoods; a set the
+    # evaluator pruned is -inf at every node and gets weight exactly 0
+    per_ll = {}
+    for lev in ev.evaluators:
+        ll = np.full((len(mesh), lev.n_enumerated), NEG_INF)
+        ll[:, lev.live_sets] = lev.set_log10_likelihoods(templates, c2, slope, bw, fw)
+        per_ll[lev.locus] = ll
     log_weights = np.empty(n_joint)
     assignments: list[dict] = []
     for j, combo in enumerate(iter_product(*(range(len(per_locus[l])) for l in loci))):

@@ -34,8 +34,6 @@ from .model import MassParams, ModelConfig, Profile, Proposition
 CONTINUOUS = "CONTINUOUS"
 GRID = "GRID"
 
-_EVAL_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class SearchSpec:
@@ -272,15 +270,11 @@ def _grid_maximize(ev, proposition, search) -> MleResult:
     if len(grids) != proposition.noc:
         raise ValueError(f"{len(grids)} lattices for NoC={proposition.noc}")
     mesh = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")], axis=-1)
-    best_ll, best_row, n_eval = NEG_INF, None, 0
-    for lo in range(0, len(mesh), _EVAL_CHUNK):
-        chunk = mesh[lo : lo + _EVAL_CHUNK]
-        ll = ev.marginal_log10(chunk, search.c2)
-        n_eval += len(chunk)
-        i = int(np.argmax(ll))
-        if ll[i] > best_ll:
-            best_ll, best_row = float(ll[i]), chunk[i]
-    params = MassParams(templates=tuple(best_row), variance_c2=search.c2)
+    ll = ev.marginal_log10(mesh, search.c2)
+    n_eval = len(mesh)
+    i = int(np.argmax(ll))
+    best_ll = float(ll[i])
+    params = MassParams(templates=tuple(mesh[i]), variance_c2=search.c2)
     return MleResult(
         hypothesis=proposition.label,
         params=params,

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from mixlr import toy
-from mixlr.genotypes import RareAllelePolicy
+from mixlr.genotypes import RareAllelePolicy, enumerate_sets
 from mixlr.integrate import (
     DimensionalityError,
     IntegralResult,
@@ -12,8 +14,8 @@ from mixlr.integrate import (
     marginal_monte_carlo,
     marginal_quadrature,
 )
-from mixlr.likelihood import NEG_INF
-from mixlr.model import Genotype, GenotypeSet, ModelConfig, Proposition
+from mixlr.likelihood import NEG_INF, log10sumexp, set_log_likelihood
+from mixlr.model import Genotype, GenotypeSet, MassParams, ModelConfig, Proposition
 
 
 PINNED = PriorSpec(c2=12.0)
@@ -56,6 +58,15 @@ class TestQuadrature:
             marginal_quadrature(
                 toy_profile, Proposition(noc=3), toy_table, policy, config=config
             )
+
+    def test_unconverged_reports_evaluated_resolution(
+        self, toy_profile, toy_table, policy, toy_hd
+    ):
+        res = marginal_quadrature(
+            toy_profile, toy_hd, toy_table, policy, prior=PINNED, max_levels=1
+        )
+        assert not res.converged and res.levels == 1
+        assert res.resolution == 128
 
     def test_resolution_override_deterministic(self, toy_profile, toy_table, policy, toy_hd):
         a = marginal_quadrature(
@@ -145,6 +156,42 @@ class TestDeconvolution:
         bb_aa = by_set.get((("B", "B"), ("A", "A")), 0.0)
         assert aa_bb == pytest.approx(bb_aa, rel=1e-6)
         assert aa_bb > 0
+
+    def test_pruned_sets_get_zero_weight(self, toy_profile, toy_table, policy):
+        n = 6
+        weights = deconvolution_weights(
+            toy_profile, 2, toy_table, policy, prior=PINNED, resolution=n
+        )
+        # oracle: prior times the scalar likelihood summed over the same nodes
+        sets = enumerate_sets(toy_profile, Proposition(noc=2), toy_table, policy)["L"]
+        axis = (np.arange(n) + 0.5) / n * PINNED.template_hi
+        log_w = np.array(
+            [
+                math.log10(ws.prior)
+                + log10sumexp(
+                    np.array(
+                        [
+                            set_log_likelihood(
+                                toy_profile, ws.set, MassParams((t1, t2), PINNED.c2)
+                            )
+                            for t1 in axis
+                            for t2 in axis
+                        ]
+                    )
+                )
+                for ws in sets
+            ]
+        )
+        want = np.power(10.0, log_w - log_w.max())
+        want /= want.sum()
+        assert len(weights) == len(sets)
+        assert np.any(log_w == NEG_INF)
+        for (assignment, w), ws, lw, expect in zip(weights, sets, log_w, want):
+            assert assignment["L"] == ws.set
+            if lw == NEG_INF:
+                assert w == 0.0
+            else:
+                assert w == pytest.approx(expect, rel=1e-9, abs=1e-300)
 
     def test_joint_cap_raises(self, toy_profile, toy_table, policy):
         with pytest.raises(ValueError):

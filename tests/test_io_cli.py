@@ -112,10 +112,17 @@ class TestCli:
             ]
         )
         assert code == EXIT_OK
-        captured = capsys.readouterr().out
-        assert "MLE log10 LR:" in captured and "Integrated LR:" in captured
+        captured = capsys.readouterr()
+        assert "MLE log10 LR:" in captured.out and "Integrated LR:" in captured.out
         payload = json.loads(out.read_text())
-        assert payload["int"]["marginal_hd"] > 0
+        block = payload["int"]
+        assert block["marginal_hd"] > 0
+        for tag in ("hp", "hd"):
+            assert isinstance(block[f"converged_{tag}"], bool)
+            assert block[f"levels_{tag}"] >= 1
+            assert block[f"resolution_{tag}"] >= 1
+        unconverged = not (block["converged_hp"] and block["converged_hd"])
+        assert ("did not converge" in captured.err) == unconverged
         assert "metadata" in payload
 
     def test_missing_file_is_io_error(self, toy_files, capsys):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from mixlr import likelihood
 from mixlr.genotypes import RareAllelePolicy, FrequencyTable, enumerate_sets
 from mixlr.likelihood import (
     NEG_INF,
     MixtureEvaluator,
     dropout_mass,
+    log10_dropout_mass,
     full_likelihood,
     full_log10_likelihood,
     log10_peak_density,
@@ -18,6 +20,7 @@ from mixlr.likelihood import (
     set_log_likelihood,
 )
 from mixlr.model import (
+    HP,
     Genotype,
     GenotypeSet,
     MassParams,
@@ -220,9 +223,137 @@ class TestVectorisedAgreement:
             config,
         )
 
+    def test_stutter_variance_unsplit_unless_configured(self):
+        # the config does not split the stutter variance, so
+        # stutter_variance_c2 must not reach the kernel
+        profile = Profile({"L": [Peak("12", 800.0), Peak("11", 90.0)]}, 50.0)
+        table = FrequencyTable({"L": {"12": 0.3, "11": 0.2}}, n_individuals=500)
+        self._compare(
+            profile,
+            table,
+            Proposition(noc=1),
+            RareAllelePolicy.five_over_2n(),
+            MassParams((800.0,), 12.0, bw_stutter_prop=0.1, stutter_variance_c2=3.0),
+            ModelConfig(back_stutter=True),
+        )
+
+    def test_split_stutter_variance(self, policy):
+        # genotype 11,13 at template 800 with back stutter 0.1: 11 and 13
+        # are allelic peaks (c2), 12 and 10 receive stutter only (stutter c2)
+        profile = Profile({"L": [Peak("12", 800.0), Peak("11", 90.0)]}, 50.0)
+        table = FrequencyTable({"L": {"12": 0.3, "11": 0.2}}, n_individuals=500)
+        config = ModelConfig(back_stutter=True, split_stutter_variance=True)
+        sets = enumerate_sets(profile, Proposition(noc=1), table, policy, config)["L"]
+        lev = MixtureEvaluator(profile, {"L": sets}, config).evaluators[0]
+        live = [sets[i].set for i in lev.live_sets]
+        per_set = lev.set_log10_likelihoods(np.array([[800.0]]), 12.0, 1.0, 0.1, 0.0, 3.0)
+        got = per_set[0, live.index(GenotypeSet([Genotype("11", "13")]))]
+        want = (
+            log10_peak_density(800.0, 80.0, 3.0)
+            + log10_peak_density(90.0, 800.0, 12.0)
+            + log10_dropout_mass(800.0, 50.0, 12.0)
+            + log10_dropout_mass(80.0, 50.0, 3.0)
+        )
+        assert got == pytest.approx(want, abs=1e-9)
+
     def test_batch_shape(self, toy_profile, toy_table, policy, toy_hd):
         sets = enumerate_sets(toy_profile, toy_hd, toy_table, policy)
         ev = MixtureEvaluator(toy_profile, sets)
         out = ev.marginal_log10(np.array([[1075.0], [500.0], [100.0]]), 12.0)
         assert out.shape == (3,)
         assert out[0] > out[1] > out[2]
+
+
+class TestPruning:
+    """Sets the evaluator drops are -inf for every parameter point; the
+    sets it keeps still agree with the scalar oracle to 1e-9."""
+
+    @staticmethod
+    def _agrees(got, want):
+        if want == NEG_INF:
+            return got == NEG_INF
+        return abs(got - want) <= 1e-9
+
+    def test_excluded_poi_locus_is_exact_exclusion(self, policy):
+        profile = Profile(
+            {
+                "L": [Peak("A", 900.0), Peak("B", 700.0), Peak("C", 500.0)],
+                "M": [Peak("A", 800.0)],
+            },
+            50.0,
+        )
+        table = FrequencyTable(
+            {"L": {"A": 0.3, "B": 0.3, "C": 0.3}, "M": {"A": 0.5}}, n_individuals=500
+        )
+        # the POI carries none of L's alleles and one unknown covers at most two
+        poi = {"L": Genotype("D", "D"), "M": Genotype("A", "A")}
+        hp = Proposition(noc=2, fixed_contributors={0: poi}, label=HP)
+        sets = enumerate_sets(profile, hp, table, policy)
+        ev = MixtureEvaluator(profile, sets)
+        assert len(ev.evaluators[0].log10_priors) == 0
+        assert len(ev.evaluators[1].log10_priors) > 0
+        batch = np.array([[1000.0, 500.0], [0.0, 800.0], [3000.0, 3000.0]])
+        assert np.all(ev.marginal_log10(batch, 12.0) == NEG_INF)
+        for row in batch:
+            params = MassParams(tuple(row), 12.0)
+            assert full_log10_likelihood(profile, sets, params) == NEG_INF
+            assert ev.marginal_log10_params(params) == NEG_INF
+
+    def test_peak_covered_only_by_forward_stutter_stays_live(self, policy):
+        # 12,12 explains the 13 peak only as forward stutter out of 12
+        profile = Profile({"L": [Peak("12", 800.0), Peak("13", 60.0)]}, 50.0)
+        table = FrequencyTable({"L": {"12": 0.3, "13": 0.2}}, n_individuals=500)
+        homozygote = GenotypeSet([Genotype("12", "12")])
+        config = ModelConfig(forward_stutter=True)
+        sets = enumerate_sets(profile, Proposition(noc=1), table, policy, config)["L"]
+        lev = MixtureEvaluator(profile, {"L": sets}, config).evaluators[0]
+        assert homozygote in [sets[i].set for i in lev.live_sets]
+        plain = MixtureEvaluator(profile, {"L": sets}).evaluators[0]
+        assert homozygote not in [sets[i].set for i in plain.live_sets]
+        for fw in (0.0, 0.05, 0.2):
+            per_set = lev.set_log10_likelihoods(
+                np.array([[800.0]]), [12.0], [1.0], [0.0], [fw]
+            )[0]
+            got = dict(zip(lev.live_sets, per_set))
+            params = MassParams((800.0,), 12.0, fw_stutter_prop=fw)
+            for i, ws in enumerate(sets):
+                want = set_log_likelihood(profile, ws.set, params, config)
+                assert self._agrees(got.get(i, NEG_INF), want), (ws.set, fw)
+
+    def test_zero_template_rows(self, policy):
+        profile = Profile(
+            {"L": [Peak("A", 900.0), Peak("B", 400.0)], "M": [Peak("A", 700.0)]}, 50.0
+        )
+        table = FrequencyTable({"L": {"A": 0.3, "B": 0.3}, "M": {"A": 0.5}}, n_individuals=500)
+        sets = enumerate_sets(profile, Proposition(noc=2), table, policy)
+        ev = MixtureEvaluator(profile, sets)
+        batch = np.array([[900.0, 0.0], [0.0, 400.0], [0.0, 0.0], [900.0, 400.0]])
+        got = ev.marginal_log10(batch, 12.0)
+        for row, value in zip(batch, got):
+            want = full_log10_likelihood(profile, sets, MassParams(tuple(row), 12.0))
+            assert self._agrees(value, want), row
+        assert got[2] == NEG_INF and np.isfinite(got[0])
+
+    def test_chunked_batch_is_bit_identical(self, monkeypatch, policy):
+        profile = Profile(
+            {
+                "L": [Peak("12", 900.0, 150.0), Peak("11", 400.0, 146.0)],
+                "M": [Peak("9", 700.0, 210.0)],
+            },
+            50.0,
+        )
+        table = FrequencyTable(
+            {"L": {"11": 0.2, "12": 0.3}, "M": {"9": 0.4}}, n_individuals=500
+        )
+        config = ModelConfig(back_stutter=True, degradation=True)
+        sets = enumerate_sets(profile, Proposition(noc=3), table, policy, config)
+        ev = MixtureEvaluator(profile, sets, config)
+        rng = np.random.default_rng(3)
+        batch = rng.uniform(0.0, 2000.0, size=(37, 3))
+        args = (rng.uniform(2, 50, 37), rng.uniform(0.5, 1, 37), rng.uniform(0, 0.3, 37))
+        width = max(lev.copies.shape[0] * lev.copies.shape[2] for lev in ev.evaluators)
+        monkeypatch.setattr(likelihood, "_CHUNK_ELEMENTS", len(batch) * width)
+        whole = ev.marginal_log10(batch, *args)
+        for rows in (1, 5):
+            monkeypatch.setattr(likelihood, "_CHUNK_ELEMENTS", rows * width)
+            assert np.array_equal(ev.marginal_log10(batch, *args), whole)
