@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import io as mio
 from . import toy
@@ -46,11 +46,27 @@ def _parse_policy(text: str) -> RareAllelePolicy:
     raise ValueError(f"unknown policy {text!r} (want 5over2n, betamean, or fixed:<v>)")
 
 
+def _from_json(cls, raw, what: str, **given):
+    """cls built from a JSON object, with JSON arrays as tuples and the
+    keyword arguments in `given` added. An unknown key, or a value of a
+    type the class cannot check, is a ValueError that says so."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls) if f.name not in given})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+    try:
+        return cls(**values, **given)
+    except TypeError as e:
+        raise ValueError(f"{what}: {e}") from e
+
+
 def _load_model_config(path) -> ModelConfig:
     if path is None:
         return ModelConfig()
     with open(path) as fh:
-        return ModelConfig(**json.load(fh))
+        return _from_json(ModelConfig, json.load(fh), "model config")
 
 
 def _load_proposition(path: str, default_label: str) -> Proposition:
@@ -147,11 +163,14 @@ def _cmd_study(args) -> int:
     )
     policy = _parse_policy(raw.pop("policy", "5over2n"))
     raw.pop("seed", None)
-    cfg = StudyConfig(
-        table=table,
-        policy=policy,
-        engines=tuple(raw.pop("engines", ["MLE", "INT"])),
-        **raw,
+    nested = {
+        key: _from_json(cls, raw[key], f"study {key}")
+        for key, cls in (("config", ModelConfig), ("prior", PriorSpec))
+        if key in raw
+    }
+    cfg = _from_json(
+        StudyConfig, {k: v for k, v in raw.items() if k not in nested}, "study config",
+        table=table, policy=policy, **nested,
     )
     records = run_study(cfg, seed=args.seed)
     summary = divergence_summary(records)

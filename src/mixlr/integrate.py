@@ -1,11 +1,12 @@
 """Prior-integrated (marginal) likelihoods and LR_int.
 
-Two estimators share one parameter-space description: deterministic
-midpoint quadrature with refinement doubling for low dimensionality, and
-prior-sampling Monte Carlo for anything bigger or as a cross-check. Both
-work in the unit cube and push points through the priors' quantile
-functions, so the prior density never appears explicitly and the
-marginal is just a (weighted) mean of likelihood values.
+The prior is uniform over the parameter box the MLE engine maximises over
+(`model.ParamBox`, log-uniform in c2), and both estimators work in that
+box's unit cube (`model.ParamSpace.from_cube`): deterministic midpoint
+quadrature with refinement doubling for low dimensionality, and
+prior-sampling Monte Carlo for anything bigger or as a cross-check. The
+cube map is the priors' quantile function, so the prior density never
+appears explicitly and the marginal is just a mean of likelihood values.
 
 Genotype sets are summed exactly inside the integrand through the same
 vectorised evaluator the MLE engine uses.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .genotypes import FrequencyTable, RareAllelePolicy, enumerate_sets
 from .likelihood import NEG_INF, MixtureEvaluator, log10sumexp
-from .model import ModelConfig, Profile, Proposition
+from .model import ModelConfig, ParamBox, ParamSpace, Profile, Proposition, tensor_grid
 
 QUADRATURE = "QUADRATURE"
 MONTE_CARLO = "MONTE_CARLO"
@@ -36,28 +37,10 @@ class DimensionalityError(ValueError):
     """Quadrature refused: too many active dimensions, use Monte Carlo."""
 
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """Independent priors over the active mass parameters.
-
-    Templates are U[0, template_hi] per contributor. c2 is either pinned
-    (a point mass) or log-uniform over c2_bounds. Slope and stutter
-    proportions are uniform over their boxes and only active when the
-    model config enables the feature.
-    """
-
-    template_hi: float = 30000.0
-    c2: Optional[float] = None
-    c2_bounds: tuple[float, float] = (2.0, 50.0)
-    slope_bounds: tuple[float, float] = (0.5, 1.0)
-    stutter_hi: float = 0.3
-
-    def __post_init__(self):
-        if not self.template_hi > 0:
-            raise ValueError("template_hi must be > 0")
-        for lo, hi in (self.c2_bounds, self.slope_bounds):
-            if not (0 < lo < hi and math.isfinite(hi)):
-                raise ValueError("prior bounds must be finite and ordered")
+# Independent priors over the shared parameter box: U[0, template_hi] per
+# template, log-uniform c2 over c2_bounds unless pinned, and uniform slope
+# and stutter proportions where the model config enables them.
+PriorSpec = ParamBox
 
 
 @dataclass(frozen=True)
@@ -74,60 +57,34 @@ class IntegralResult:
     std_error: Optional[float] = None
 
 
-class _CubeMap:
-    """Quantile map from the unit cube to natural parameter space."""
-
-    def __init__(self, noc: int, config: ModelConfig, prior: PriorSpec):
-        self.noc = noc
-        self.prior = prior
-        self.scalars: list[str] = []
-        if prior.c2 is None:
-            self.scalars.append("c2")
-        if config.degradation:
-            self.scalars.append("slope")
-        if config.back_stutter:
-            self.scalars.append("bw")
-        if config.forward_stutter:
-            self.scalars.append("fw")
-        self.ndim = noc + len(self.scalars)
-
-    def map(self, u: np.ndarray):
-        """(batch, ndim) unit-cube points -> evaluator arguments."""
-        p = self.prior
-        templates = p.template_hi * u[:, : self.noc]
-        c2 = np.full(len(u), p.c2 if p.c2 is not None else 0.0)
-        slope = np.ones(len(u))
-        bw = np.zeros(len(u))
-        fw = np.zeros(len(u))
-        for j, name in enumerate(self.scalars):
-            col = u[:, self.noc + j]
-            if name == "c2":
-                lo, hi = p.c2_bounds
-                c2 = np.exp(math.log(lo) + col * (math.log(hi) - math.log(lo)))
-            elif name == "slope":
-                lo, hi = p.slope_bounds
-                slope = lo + col * (hi - lo)
-            elif name == "bw":
-                bw = col * p.stutter_hi
-            elif name == "fw":
-                fw = col * p.stutter_hi
-        return templates, c2, slope, bw, fw
+def _quadrature_space(noc: int, config: ModelConfig, prior: PriorSpec,
+                      resolution: Optional[int]) -> tuple[ParamSpace, int]:
+    """The prior's cube and the initial points per axis; refuses more than
+    MAX_QUADRATURE_DIMS active dimensions."""
+    space = ParamSpace(noc, config, prior)
+    if space.ndim > MAX_QUADRATURE_DIMS:
+        raise DimensionalityError(
+            f"{space.ndim} active dimensions exceed the quadrature cap "
+            f"{MAX_QUADRATURE_DIMS}; use marginal_monte_carlo"
+        )
+    return space, resolution or _INIT_N[space.ndim]
 
 
-def prior_dimensions(noc: int, config: Optional[ModelConfig] = None,
-                     prior: PriorSpec = PriorSpec()) -> int:
-    """Number of active prior dimensions for a contributor count."""
-    return _CubeMap(noc, config or ModelConfig(), prior).ndim
+def _midpoint_mesh(n: int, ndim: int) -> np.ndarray:
+    """(n**ndim, ndim) midpoints of the unit cube's n**ndim equal cells."""
+    return tensor_grid([(np.arange(n) + 0.5) / n] * ndim)
 
 
-def _mean_of_log10(lls: np.ndarray) -> tuple[float, float]:
-    """(mean, log10 mean) of 10**lls, stabilised against underflow."""
+def _mean_of_log10(lls: np.ndarray) -> tuple[float, float, float]:
+    """(mean, log10 mean, standard error of the mean) of 10**lls, stabilised
+    against underflow."""
     m = float(np.max(lls))
     if m == NEG_INF:
-        return 0.0, NEG_INF
+        return 0.0, NEG_INF, 0.0
     scaled = np.power(10.0, lls - m)
     mean = float(np.mean(scaled))
-    return 10.0**m * mean, m + math.log10(mean)
+    se = float(np.std(scaled, ddof=1)) / math.sqrt(len(scaled)) if len(scaled) > 1 else 0.0
+    return 10.0**m * mean, m + math.log10(mean), 10.0**m * se
 
 
 def marginal_quadrature(
@@ -152,21 +109,13 @@ def marginal_quadrature(
     ev = evaluator if evaluator is not None else MixtureEvaluator(
         profile, enumerate_sets(profile, proposition, table, policy, config), config
     )
-    cube = _CubeMap(proposition.noc, config, prior)
-    if cube.ndim > MAX_QUADRATURE_DIMS:
-        raise DimensionalityError(
-            f"{cube.ndim} active dimensions exceed the quadrature cap "
-            f"{MAX_QUADRATURE_DIMS}; use marginal_monte_carlo"
-        )
-    n = resolution or _INIT_N[cube.ndim]
+    space, n = _quadrature_space(proposition.noc, config, prior, resolution)
     prev = None
     converged, level = False, 0
     while True:
         level += 1
-        axes = [(np.arange(n) + 0.5) / n] * cube.ndim
-        mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        lls = ev.marginal_log10(*cube.map(mesh))
-        value, log10_value = _mean_of_log10(lls)
+        lls = ev.marginal_log10(*space.from_cube(_midpoint_mesh(n, space.ndim)))
+        value, log10_value, _ = _mean_of_log10(lls)
         if prev is not None and abs(value - prev) <= rtol * max(abs(value), 1e-300):
             converged = True
         if converged or level >= max_levels:
@@ -202,17 +151,10 @@ def marginal_monte_carlo(
     ev = evaluator if evaluator is not None else MixtureEvaluator(
         profile, enumerate_sets(profile, proposition, table, policy, config), config
     )
-    cube = _CubeMap(proposition.noc, config, prior)
+    space = ParamSpace(proposition.noc, config, prior)
     rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(n_samples, cube.ndim))
-    lls = ev.marginal_log10(*cube.map(u))
-    value, log10_value = _mean_of_log10(lls)
-    m = float(np.max(lls))
-    if m == NEG_INF:
-        se = 0.0
-    else:
-        scaled = np.power(10.0, lls - m)
-        se = 10.0**m * float(np.std(scaled, ddof=1)) / math.sqrt(n_samples)
+    u = rng.uniform(size=(n_samples, space.ndim))
+    value, log10_value, se = _mean_of_log10(ev.marginal_log10(*space.from_cube(u)))
     return IntegralResult(
         hypothesis=proposition.label,
         marginal=value,
@@ -262,15 +204,9 @@ def deconvolution_weights(
         raise ValueError(f"{n_joint} joint genotype sets exceed the cap {max_joint_sets}")
 
     ev = MixtureEvaluator(profile, per_locus, config)
-    cube = _CubeMap(noc, config, prior)
-    if cube.ndim > MAX_QUADRATURE_DIMS:
-        raise DimensionalityError(
-            f"{cube.ndim} dimensions exceed the quadrature cap for deconvolution"
-        )
-    n = resolution or _INIT_N[cube.ndim]
-    axes = [(np.arange(n) + 0.5) / n] * cube.ndim
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    templates, c2, slope, bw, fw = cube.map(mesh)
+    space, n = _quadrature_space(noc, config, prior, resolution)
+    mesh = _midpoint_mesh(n, space.ndim)
+    templates, c2, slope, bw, fw = space.from_cube(mesh)
 
     # per-locus (nodes, enumerated sets) log10 likelihoods; a set the
     # evaluator pruned is -inf at every node and gets weight exactly 0

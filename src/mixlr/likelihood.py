@@ -9,14 +9,14 @@ The batch evaluator holds only the live genotype sets of each locus. A
 set that leaves an observed peak with no allelic copy, and with no parent
 or source allele that an enabled stutter could carry into it, has zero
 expectation at that peak for every parameter point: the stutter terms are
-then zero, and the locus multiplier and the degradation factor are always
-> 0. Its likelihood is -inf everywhere, so dropping it at construction
-changes no result; a locus with no live set excludes every point.
+then zero, and the degradation factor is always > 0. Its likelihood is
+-inf everywhere, so dropping it at construction changes no result; a
+locus with no live set excludes every point.
 
 The density is the normal law of log10(O/E) with mean 0 and variance
-c2/E, taken in log-ratio space (no Jacobian back to height space). A
-structural exclusion is the ordinary float -inf in log10 space and is a
-legal value end to end.
+c2/E, taken in log-ratio space (no Jacobian back to height space); allelic
+and stutter peaks share the one c2. A structural exclusion is the ordinary
+float -inf in log10 space and is a legal value end to end.
 """
 
 from __future__ import annotations
@@ -257,15 +257,12 @@ class LocusEvaluator:
         profile: Profile,
         weighted_sets: Sequence[WeightedGenotypeSet],
         locus: str,
-        sizes: Optional[Mapping[str, float]] = None,
         config: Optional[ModelConfig] = None,
-        locus_multiplier: float = 1.0,
     ):
         config = config or ModelConfig()
         peaks = profile.peaks(locus)
         self.locus = locus
         self.threshold = profile.analytical_threshold
-        self.multiplier = float(locus_multiplier)
         self.n_contrib = len(weighted_sets[0].set)
         self.n_enumerated = len(weighted_sets)
 
@@ -332,10 +329,8 @@ class LocusEvaluator:
 
         self._back = pairs(+1) if config.back_stutter else None
         self._forward = pairs(-1) if config.forward_stutter else None
-        self._split_variance = config.split_stutter_variance and bool(shifts)
 
-        if sizes is None:
-            sizes = {p.allele: p.size for p in peaks if p.size is not None}
+        sizes = {p.allele: p.size for p in peaks if p.size is not None}
         exponent = np.array(
             [(sizes[a] - 100.0) / 100.0 if sizes.get(a) is not None else 0.0
              for a in self.positions]
@@ -351,14 +346,12 @@ class LocusEvaluator:
         slope: np.ndarray,
         bw: np.ndarray,
         fw: np.ndarray,
-        stutter_c2: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """(batch, live sets) array of log10 per-set locus likelihoods.
 
         templates has shape (batch, n_contrib); the scalar parameters are
-        (batch,) arrays. Terms of a feature the model config disables, and
-        stutter_c2 unless the config splits the stutter variance, are not
-        used.
+        (batch,) arrays or numbers. Terms of a feature the model config
+        disables are not used.
         """
         templates = np.atleast_2d(np.asarray(templates, dtype=float))
         batch = templates.shape[0]
@@ -384,14 +377,7 @@ class LocusEvaluator:
                 rows, sources = pairs
                 e[rows] += prop * allelic[sources]
         if self._size_exponent is not None:
-            e *= self.multiplier * np.power(slope, self._size_exponent)
-        elif self.multiplier != 1.0:
-            e *= self.multiplier
-
-        if self._split_variance and stutter_c2 is not None:
-            var_c2 = np.where(allelic > 0, c2, np.asarray(stutter_c2, dtype=float).reshape(-1))
-        else:
-            var_c2 = None
+            e *= np.power(slope, self._size_exponent)
 
         n_obs = self._n_obs
         out = np.zeros((n_sets, batch))
@@ -404,14 +390,8 @@ class LocusEvaluator:
                 sq = self._ln_obs - ln_e
                 sq *= sq
                 sq *= eo
-                if var_c2 is None:
-                    quad = sq.sum(axis=0) / c2
-                    norm = n_obs * np.log(2 * math.pi * c2)
-                else:
-                    vo = var_c2[:n_obs]
-                    sq /= vo
-                    quad = sq.sum(axis=0)
-                    norm = np.log(2 * math.pi * vo).sum(axis=0)
+                quad = sq.sum(axis=0) / c2
+                norm = n_obs * np.log(2 * math.pi * c2)
                 ln_e_sum = ln_e.sum(axis=0)
                 out += (ln_e_sum - norm - quad / (LN10 * LN10)) / (2 * LN10)
                 # an observed peak with zero expectation excludes the set
@@ -421,11 +401,8 @@ class LocusEvaluator:
                 eu = e[n_obs:]
                 z = np.log(eu)
                 np.subtract(self._ln_threshold, z, out=z)
-                if var_c2 is None:
-                    z *= np.sqrt(eu)
-                    z /= LN10 * np.sqrt(c2)
-                else:
-                    z *= np.sqrt(eu / var_c2[n_obs:]) / LN10
+                z *= np.sqrt(eu)
+                z /= LN10 * np.sqrt(c2)
                 # a position with no expectation adds nothing
                 z[eu == 0] = np.inf
                 out += log_ndtr(z).sum(axis=0) / LN10
@@ -442,21 +419,11 @@ class MixtureEvaluator:
         profile: Profile,
         weighted_sets: Mapping[str, Sequence[WeightedGenotypeSet]],
         config: Optional[ModelConfig] = None,
-        sizes: Optional[Mapping[str, Mapping[str, float]]] = None,
-        locus_multipliers: Optional[Mapping[str, float]] = None,
     ):
         config = config or ModelConfig()
-        self.config = config
         self.profile = profile
         self.evaluators = [
-            LocusEvaluator(
-                profile,
-                weighted_sets[locus],
-                locus,
-                sizes=sizes.get(locus) if sizes else None,
-                config=config,
-                locus_multiplier=(locus_multipliers or {}).get(locus, 1.0),
-            )
+            LocusEvaluator(profile, weighted_sets[locus], locus, config=config)
             for locus in profile.loci
         ]
         self.n_contrib = self.evaluators[0].n_contrib if self.evaluators else 0
@@ -473,7 +440,6 @@ class MixtureEvaluator:
         slope=1.0,
         bw=0.0,
         fw=0.0,
-        stutter_c2=None,
     ) -> np.ndarray:
         """(batch,) log10 marginal likelihood for a batch of parameter vectors.
 
@@ -491,12 +457,11 @@ class MixtureEvaluator:
             return v if v.size == batch else np.broadcast_to(v, (batch,))
 
         scalars = [vec(v) for v in (c2, slope, bw, fw)]
-        scalars.append(None if stutter_c2 is None else vec(stutter_c2))
         rows = max(1, _CHUNK_ELEMENTS // max(self._width, 1))
         total = np.zeros(batch)
         for lo in range(0, batch, rows):
             part = slice(lo, lo + rows)
-            args = [None if v is None else v[part] for v in scalars]
+            args = [v[part] for v in scalars]
             for ev in self.evaluators:
                 per_set = ev.set_log10_likelihoods(templates[part], *args)
                 total[part] += log10sumexp(ev.log10_priors + per_set, axis=-1)
@@ -511,6 +476,5 @@ class MixtureEvaluator:
                 params.degradation_slope,
                 params.bw_stutter_prop,
                 params.fw_stutter_prop,
-                params.stutter_variance_c2 if self.config.split_stutter_variance else None,
             )[0]
         )

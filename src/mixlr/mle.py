@@ -6,20 +6,19 @@ LR_ML = 10^(logL1 - logL2), and (for same-dimension hypothesis pairs)
 the two bounding ratios obtained by freezing the parameters at either
 hypothesis's optimum.
 
-Optimisation is derivative-free simplex search (Nelder-Mead) over a
-transformed unconstrained space, multi-started from stratified random
-draws. Because the model is discontinuous at template = 0 (a contributor
-with exactly zero template drops out of the likelihood entirely, while
-an arbitrarily small template still pays per-position dropout mass), the
-search additionally runs boundary passes with each proper subset of
-templates pinned to exactly zero. That makes the fit of a nesting
-hypothesis provably at least as good as any nested one supplied as a
-warm start.
+Optimisation is derivative-free simplex search (Nelder-Mead) over an
+unconstrained space, the logit of the unit cube of the shared
+`ParamSpace`, multi-started from stratified random draws. Because the
+model is discontinuous at template = 0 (a contributor with exactly zero
+template drops out of the likelihood entirely, while an arbitrarily small
+template still pays per-position dropout mass), the search additionally
+runs boundary passes with each proper subset of templates pinned to
+exactly zero. That makes the fit of a nesting hypothesis provably at
+least as good as any nested one supplied as a warm start.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence
@@ -29,22 +28,25 @@ from scipy.optimize import minimize
 
 from .genotypes import FrequencyTable, RareAllelePolicy, enumerate_sets
 from .likelihood import NEG_INF, MixtureEvaluator
-from .model import MassParams, ModelConfig, Profile, Proposition
+from .model import (
+    MassParams,
+    ModelConfig,
+    ParamBox,
+    ParamSpace,
+    Profile,
+    Proposition,
+    tensor_grid,
+)
 
 CONTINUOUS = "CONTINUOUS"
 GRID = "GRID"
 
 
 @dataclass(frozen=True)
-class SearchSpec:
-    """Bounds, transforms, and restart policy for one maximisation."""
+class SearchSpec(ParamBox):
+    """The parameter box of one maximisation, plus its restart policy."""
 
     mode: str = CONTINUOUS
-    template_hi: float = 30000.0
-    c2: Optional[float] = None  # pinned value; None leaves c2 free
-    c2_bounds: tuple[float, float] = (2.0, 50.0)
-    slope_bounds: tuple[float, float] = (0.5, 1.0)
-    stutter_hi: float = 0.3
     n_starts: int = 8
     seed: int = 0
     max_iter: int = 500
@@ -56,6 +58,7 @@ class SearchSpec:
     boundary_passes: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if self.mode not in (CONTINUOUS, GRID):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.n_starts < 1:
@@ -93,96 +96,19 @@ class MlLrReport:
     lr_bound_high: Optional[float] = None
 
 
-class _ParamSpace:
-    """Maps between natural mass parameters and the unconstrained search space.
-
-    Templates live in (0, template_hi) through a scaled logistic; c2 (when
-    free) is log-uniform in its box; slope and stutter proportions use
-    plain logistic boxes. pinned is a set of contributor indices whose
-    templates are held at exactly zero (excluded from the vector).
-    """
-
-    def __init__(self, noc: int, config: ModelConfig, search: SearchSpec, pinned=()):
-        self.noc = noc
-        self.search = search
-        self.pinned = frozenset(pinned)
-        self.free_templates = [i for i in range(noc) if i not in self.pinned]
-        self.scalars: list[str] = []
-        if search.c2 is None:
-            self.scalars.append("c2")
-        if config.degradation:
-            self.scalars.append("slope")
-        if config.back_stutter:
-            self.scalars.append("bw")
-        if config.forward_stutter:
-            self.scalars.append("fw")
-        self.ndim = len(self.free_templates) + len(self.scalars)
-
-    @staticmethod
-    def _sigmoid(u):
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-u))
-
-    @staticmethod
-    def _logit(p):
-        p = min(max(p, 1e-12), 1 - 1e-12)
-        return math.log(p / (1 - p))
-
-    def decode(self, u: np.ndarray):
-        """Unconstrained vector -> (templates, c2, slope, bw, fw)."""
-        s = self.search
-        templates = np.zeros(self.noc)
-        nt = len(self.free_templates)
-        templates[self.free_templates] = s.template_hi * self._sigmoid(u[:nt])
-        c2 = s.c2 if s.c2 is not None else None
-        slope, bw, fw = 1.0, 0.0, 0.0
-        for name, ui in zip(self.scalars, u[nt:]):
-            frac = self._sigmoid(ui)
-            if name == "c2":
-                lo, hi = s.c2_bounds
-                c2 = math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo)))
-            elif name == "slope":
-                lo, hi = s.slope_bounds
-                slope = lo + frac * (hi - lo)
-            elif name == "bw":
-                bw = frac * s.stutter_hi
-            elif name == "fw":
-                fw = frac * s.stutter_hi
-        return templates, c2, slope, bw, fw
-
-    def encode(self, params: MassParams) -> np.ndarray:
-        s = self.search
-        u = []
-        for i in self.free_templates:
-            u.append(self._logit(params.templates[i] / s.template_hi))
-        for name in self.scalars:
-            if name == "c2":
-                lo, hi = s.c2_bounds
-                frac = (math.log(params.variance_c2) - math.log(lo)) / (
-                    math.log(hi) - math.log(lo)
-                )
-            elif name == "slope":
-                lo, hi = s.slope_bounds
-                frac = (params.degradation_slope - lo) / (hi - lo)
-            elif name == "bw":
-                frac = params.bw_stutter_prop / s.stutter_hi
-            else:
-                frac = params.fw_stutter_prop / s.stutter_hi
-            u.append(self._logit(frac))
-        return np.array(u)
-
-    def to_params(self, u: np.ndarray) -> MassParams:
-        templates, c2, slope, bw, fw = self.decode(u)
-        return MassParams(
-            templates=tuple(templates),
-            variance_c2=c2,
-            degradation_slope=slope,
-            bw_stutter_prop=bw,
-            fw_stutter_prop=fw,
-        )
+# The simplex searches all of R^ndim; the sigmoid maps it onto the unit
+# cube of a ParamSpace, and the logit back. _logit clips so that a warm
+# start on a face of the box encodes to a finite point.
+def _sigmoid(u):
+    return 1.0 / (1.0 + np.exp(-u))
 
 
-def _stratified_starts(space: _ParamSpace, n: int, rng: np.random.Generator) -> np.ndarray:
+def _logit(p):
+    p = np.clip(p, 1e-12, 1 - 1e-12)
+    return np.log(p / (1 - p))
+
+
+def _stratified_starts(space: ParamSpace, n: int, rng: np.random.Generator) -> np.ndarray:
     """n start vectors, each dimension stratified over (0,1) then logit-mapped."""
     if space.ndim == 0:
         return np.zeros((n, 0))
@@ -190,7 +116,7 @@ def _stratified_starts(space: _ParamSpace, n: int, rng: np.random.Generator) -> 
     for d in range(space.ndim):
         strata = rng.permutation(n)
         fracs[:, d] = (strata + rng.uniform(0.05, 0.95, size=n)) / n
-    return np.log(fracs / (1 - fracs))
+    return _logit(fracs)
 
 
 def build_evaluator(
@@ -206,56 +132,46 @@ def build_evaluator(
     return MixtureEvaluator(profile, sets, config)
 
 
-def _objective(ev: MixtureEvaluator, space: _ParamSpace):
+def _objective(ev: MixtureEvaluator, space: ParamSpace):
+    """Negated log10 likelihood at an unconstrained point, and an evaluation counter."""
     counter = {"n": 0}
 
     def f(u: np.ndarray) -> float:
         counter["n"] += 1
-        templates, c2, slope, bw, fw = space.decode(u)
-        ll = float(ev.marginal_log10(templates[None, :], c2, slope, bw, fw)[0])
+        ll = float(ev.marginal_log10(*space.from_cube(_sigmoid(u)[None]))[0])
         return 1e308 if ll == NEG_INF else -ll
 
     return f, counter
-
-
-def _raw_value(ev: MixtureEvaluator, params: MassParams) -> float:
-    return float(
-        ev.marginal_log10(
-            np.array([params.templates]),
-            params.variance_c2,
-            params.degradation_slope,
-            params.bw_stutter_prop,
-            params.fw_stutter_prop,
-        )[0]
-    )
 
 
 def _run_simplex(ev, space, starts, search):
     """Best (log10, params) over Nelder-Mead runs from each start vector."""
     f, counter = _objective(ev, space)
     best_ll, best_params, iters, ok = NEG_INF, None, 0, False
-    for u0 in starts:
-        if space.ndim == 0:
-            ll = -f(np.zeros(0))
-            if ll > best_ll:
-                best_ll, best_params, ok = ll, space.to_params(np.zeros(0)), True
-            continue
-        r = minimize(
-            f,
-            np.asarray(u0, dtype=float),
-            method="Nelder-Mead",
-            options={
-                "xatol": search.xtol,
-                "fatol": 1e-10,
-                "maxiter": search.max_iter * space.ndim,
-            },
-        )
-        iters += r.nit
-        val = -float(r.fun)
-        if val <= -1e307:  # every evaluation hit a structural exclusion
-            continue
-        if val > best_ll:
-            best_ll, best_params, ok = val, space.to_params(r.x), bool(r.success)
+    # a large negative u overflows exp(-u) and maps a template to exactly 0
+    with np.errstate(over="ignore"):
+        for u0 in starts:
+            if space.ndim == 0:
+                ll = -f(np.zeros(0))
+                if ll > best_ll:
+                    best_ll, best_params, ok = ll, space.params(np.zeros(0)), True
+                continue
+            r = minimize(
+                f,
+                np.asarray(u0, dtype=float),
+                method="Nelder-Mead",
+                options={
+                    "xatol": search.xtol,
+                    "fatol": 1e-10,
+                    "maxiter": search.max_iter * space.ndim,
+                },
+            )
+            iters += r.nit
+            val = -float(r.fun)
+            if val <= -1e307:  # every evaluation hit a structural exclusion
+                continue
+            if val > best_ll:
+                best_ll, best_params, ok = val, space.params(_sigmoid(r.x)), bool(r.success)
     return best_ll, best_params, iters, counter["n"], ok
 
 
@@ -269,7 +185,7 @@ def _grid_maximize(ev, proposition, search) -> MleResult:
         grids = grids * proposition.noc
     if len(grids) != proposition.noc:
         raise ValueError(f"{len(grids)} lattices for NoC={proposition.noc}")
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")], axis=-1)
+    mesh = tensor_grid(grids)
     ll = ev.marginal_log10(mesh, search.c2)
     n_eval = len(mesh)
     i = int(np.argmax(ll))
@@ -310,18 +226,18 @@ def maximize(
         return _grid_maximize(ev, proposition, search)
 
     rng = np.random.default_rng(search.seed)
-    space = _ParamSpace(proposition.noc, config, search)
+    space = ParamSpace(proposition.noc, config, search)
     starts = list(_stratified_starts(space, search.n_starts, rng))
     warm_by_pin: dict[frozenset, list[MassParams]] = {}
     best_ll, best_params = NEG_INF, None
     for w in search.extra_starts:
         zeros = frozenset(i for i, t in enumerate(w.templates) if t == 0.0)
         warm_by_pin.setdefault(zeros, []).append(w)
-        ll = _raw_value(ev, w)
+        ll = ev.marginal_log10_params(w)
         if ll > best_ll:
             best_ll, best_params = ll, w
     for w in warm_by_pin.get(frozenset(), ()):
-        starts.append(space.encode(w))
+        starts.append(_logit(space.to_cube(w)))
 
     ll, params, iters, evals, ok = _run_simplex(ev, space, starts, search)
     converged = ok
@@ -332,10 +248,10 @@ def maximize(
         n_sub = max(2, search.n_starts // 4)
         for size in range(1, proposition.noc):
             for pin in combinations(range(proposition.noc), size):
-                sub = _ParamSpace(proposition.noc, config, search, pinned=pin)
+                sub = ParamSpace(proposition.noc, config, search, pinned=pin)
                 sub_starts = list(_stratified_starts(sub, n_sub, rng))
                 for w in warm_by_pin.get(frozenset(pin), ()):
-                    sub_starts.append(sub.encode(w))
+                    sub_starts.append(_logit(sub.to_cube(w)))
                 ll, params, it2, ev2, _ = _run_simplex(ev, sub, sub_starts, search)
                 iters += it2
                 evals += ev2
@@ -399,8 +315,12 @@ def bounded_lrs(
             "bounding LRs need a shared parameter space; "
             f"got {len(m_hat_1.templates)} vs {len(m_hat_2.templates)} contributors"
         )
-    lr_at_m2 = lr_from_log10(_raw_value(ev_num, m_hat_2) - _raw_value(ev_den, m_hat_2))
-    lr_at_m1 = lr_from_log10(_raw_value(ev_num, m_hat_1) - _raw_value(ev_den, m_hat_1))
+    lr_at_m2 = lr_from_log10(
+        ev_num.marginal_log10_params(m_hat_2) - ev_den.marginal_log10_params(m_hat_2)
+    )
+    lr_at_m1 = lr_from_log10(
+        ev_num.marginal_log10_params(m_hat_1) - ev_den.marginal_log10_params(m_hat_1)
+    )
     return lr_at_m2, lr_at_m1
 
 

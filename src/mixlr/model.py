@@ -1,5 +1,10 @@
 """Core domain types: profiles, genotypes, propositions, mass parameters,
-and the expected-peak-height model.
+the expected-peak-height model, and the parameter box both engines explore.
+
+`ParamBox` is the one description of the box of mass parameters: the MLE
+engine maximises over it and the INT engine integrates over it.
+`ParamSpace` lays the box's free dimensions out as a unit cube, with one
+map each way, so the two engines cannot drift onto different boxes.
 
 All types are immutable after construction and safe to share across
 workers; every operation here is a pure function.
@@ -7,9 +12,12 @@ workers; every operation here is a pure function.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 # Reserved label for the aggregated unobserved allele. It may appear in
 # genotype hypotheses but never as an observed peak.
@@ -164,8 +172,7 @@ class MassParams:
 
     Canonical storage is per-contributor template (rfu); mixture
     proportions are derived. variance_c2 is the c2 constant of the
-    log-normal peak model. stutter_variance_c2 is only consulted when the
-    model config splits allelic and stutter variances.
+    log-normal peak model, shared by allelic and stutter peaks.
     """
 
     templates: tuple[float, ...]
@@ -173,8 +180,6 @@ class MassParams:
     degradation_slope: float = 1.0
     bw_stutter_prop: float = 0.0
     fw_stutter_prop: float = 0.0
-    locus_multipliers: Optional[Mapping[str, float]] = None
-    stutter_variance_c2: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "templates", tuple(float(t) for t in self.templates))
@@ -188,12 +193,6 @@ class MassParams:
             v = getattr(self, name)
             if not 0 <= v <= 0.3:
                 raise ValueError(f"{name} must be in [0, 0.3]")
-        if self.locus_multipliers is not None:
-            if any(not m > 0 for m in self.locus_multipliers.values()):
-                raise ValueError("locus multipliers must be positive")
-            object.__setattr__(self, "locus_multipliers", dict(self.locus_multipliers))
-        if self.stutter_variance_c2 is not None and not self.stutter_variance_c2 > 0:
-            raise ValueError("stutter_variance_c2 must be > 0")
 
     @property
     def total_template(self) -> float:
@@ -206,25 +205,18 @@ class MassParams:
             return tuple(0.0 for _ in self.templates)
         return tuple(t / tot for t in self.templates)
 
-    def multiplier(self, locus: str) -> float:
-        if self.locus_multipliers is None:
-            return 1.0
-        return self.locus_multipliers.get(locus, 1.0)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Feature toggles for the peak-height model.
 
     A disabled feature requires the corresponding MassParams field at its
-    neutral value (stutter proportion 0, slope 1, multipliers 1).
+    neutral value (stutter proportion 0, slope 1).
     """
 
     back_stutter: bool = False
     forward_stutter: bool = False
     degradation: bool = False
-    locus_multipliers: bool = False
-    split_stutter_variance: bool = False
 
     def validate_params(self, params: MassParams) -> None:
         if not self.back_stutter and params.bw_stutter_prop != 0:
@@ -233,11 +225,114 @@ class ModelConfig:
             raise ValueError("forward stutter disabled but fw_stutter_prop != 0")
         if not self.degradation and params.degradation_slope != 1:
             raise ValueError("degradation disabled but slope != 1")
-        if not self.locus_multipliers and params.locus_multipliers:
-            if any(m != 1 for m in params.locus_multipliers.values()):
-                raise ValueError("locus multipliers disabled but not all 1")
-        if self.split_stutter_variance and params.stutter_variance_c2 is None:
-            raise ValueError("split stutter variance enabled but stutter_variance_c2 unset")
+
+
+@dataclass(frozen=True)
+class ParamBox:
+    """The box of mass parameters both engines explore.
+
+    Templates range over [0, template_hi] per contributor. c2 is pinned at
+    `c2`, or free over c2_bounds, uniformly in log c2. The degradation
+    slope ranges over slope_bounds and each stutter proportion over
+    [0, stutter_hi], each only when the model config enables the feature.
+    The MLE engine maximises over the box; the INT engine integrates over
+    it with independent uniform priors on these scales.
+    """
+
+    template_hi: float = 30000.0
+    c2: Optional[float] = None  # pinned value; None leaves c2 free
+    c2_bounds: tuple[float, float] = (2.0, 50.0)
+    slope_bounds: tuple[float, float] = (0.5, 1.0)
+    stutter_hi: float = 0.3
+
+    def __post_init__(self):
+        if not self.template_hi > 0:
+            raise ValueError("template_hi must be > 0")
+        for lo, hi in (self.c2_bounds, self.slope_bounds):
+            if not (0 < lo < hi and math.isfinite(hi)):
+                raise ValueError("box bounds must be finite and ordered")
+
+
+class ParamSpace:
+    """The free dimensions of a ParamBox under a model config, as a unit cube.
+
+    The axes are the templates not pinned to exactly zero, in contributor
+    order, then c2 when the box leaves it free, then the slope and the back
+    and forward stutter proportions when the config enables them. Every
+    axis is affine in the cube except c2, which is affine in log c2.
+    """
+
+    def __init__(self, noc: int, config: ModelConfig, box: ParamBox, pinned=()):
+        self.noc = noc
+        self.box = box
+        pinned = frozenset(pinned)
+        self.free_templates = np.array([i for i in range(noc) if i not in pinned], dtype=int)
+        ranges = {
+            "c2": (math.log(box.c2_bounds[0]), math.log(box.c2_bounds[1])),
+            "slope": box.slope_bounds,
+            "bw": (0.0, box.stutter_hi),
+            "fw": (0.0, box.stutter_hi),
+        }
+        active = {
+            "c2": box.c2 is None,
+            "slope": config.degradation,
+            "bw": config.back_stutter,
+            "fw": config.forward_stutter,
+        }
+        self.scalars = [name for name, on in active.items() if on]
+        bounds = [(0.0, box.template_hi)] * len(self.free_templates)
+        bounds += [ranges[name] for name in self.scalars]
+        self.ndim = len(bounds)
+        lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T
+        self._lo = lo
+        self._span = hi - lo
+
+    def from_cube(self, u: np.ndarray):
+        """(batch, ndim) cube points -> (templates, c2, slope, bw, fw).
+
+        templates is (batch, noc), exactly zero for pinned contributors. A
+        scalar with an axis is a (batch,) array; one without is its pinned
+        or neutral value as a float.
+        """
+        x = self._lo + u * self._span
+        nt = len(self.free_templates)
+        templates = x[:, :nt]
+        if nt < self.noc:
+            templates = np.zeros((len(x), self.noc))
+            templates[:, self.free_templates] = x[:, :nt]
+        scalars = {"c2": self.box.c2, "slope": 1.0, "bw": 0.0, "fw": 0.0}
+        for j, name in enumerate(self.scalars, nt):
+            scalars[name] = x[:, j]
+        if self.box.c2 is None:
+            scalars["c2"] = np.exp(scalars["c2"])
+        return (templates, *scalars.values())
+
+    def to_cube(self, params: MassParams) -> np.ndarray:
+        """The (ndim,) cube point of params; the inverse of from_cube."""
+        natural = {
+            "c2": math.log(params.variance_c2),
+            "slope": params.degradation_slope,
+            "bw": params.bw_stutter_prop,
+            "fw": params.fw_stutter_prop,
+        }
+        x = np.array(
+            [params.templates[i] for i in self.free_templates]
+            + [natural[name] for name in self.scalars],
+            dtype=float,
+        )
+        return (x - self._lo) / self._span
+
+    def params(self, u: np.ndarray) -> MassParams:
+        """The MassParams at one (ndim,) cube point."""
+        templates, *scalars = self.from_cube(np.asarray(u, dtype=float).reshape(1, -1))
+        c2, slope, bw, fw = (float(np.ravel(v)[0]) for v in scalars)
+        return MassParams(tuple(templates[0]), c2, slope, bw, fw)
+
+
+def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """(prod of axis lengths, len(axes)) points of the tensor product of axes,
+    the last axis varying fastest."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def degradation_factor(slope: float, size: Optional[float]) -> float:
@@ -263,7 +358,7 @@ def expected_heights(
     Allelic contribution is template x copy number (a homozygote puts both
     copies into one peak). Back/forward stutter adds the configured
     proportion of the parent position's allelic expectation; degradation
-    and the locus multiplier then scale the total.
+    then scales the total.
     """
     if len(genotype_set) != len(params.templates):
         raise ValueError(
@@ -278,7 +373,6 @@ def expected_heights(
                 raise ValueError(f"allele {a} of genotype set missing from universe at {locus}")
             allelic[a] += t
 
-    mult = params.multiplier(locus)
     out: dict[str, float] = {}
     for a in universe:
         e = allelic[a]
@@ -291,5 +385,5 @@ def expected_heights(
             if source is not None and source in allelic:
                 e += params.fw_stutter_prop * allelic[source]
         size = sizes.get(a) if sizes else None
-        out[a] = mult * degradation_factor(params.degradation_slope, size) * e
+        out[a] = degradation_factor(params.degradation_slope, size) * e
     return out

@@ -24,7 +24,6 @@ from .integrate import (
     PriorSpec,
     marginal_monte_carlo,
     marginal_quadrature,
-    prior_dimensions,
 )
 from .likelihood import NEG_INF
 from .mle import SearchSpec, build_evaluator, log10_lr, maximize
@@ -35,6 +34,7 @@ from .model import (
     GenotypeSet,
     MassParams,
     ModelConfig,
+    ParamSpace,
     Peak,
     Profile,
     Proposition,
@@ -312,7 +312,7 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
             # points, so estimator error largely cancels in the ratio:
             # a shared deterministic midpoint grid when the prior is
             # low-dimensional, common-random-number sampling otherwise
-            ndim = prior_dimensions(cfg.noc, cfg.config, cfg.prior)
+            ndim = ParamSpace(cfg.noc, cfg.config, cfg.prior).ndim
             mc_seed = int(np.random.default_rng(engine_seeds[ENGINE_INT]).integers(2**31))
             use_grid = ndim <= MAX_QUADRATURE_DIMS
             resolution = max(4, round(cfg.mc_samples ** (1.0 / ndim)))

@@ -26,7 +26,7 @@ class _ConstantEvaluator:
 
     n_contrib = 1
 
-    def marginal_log10(self, templates, c2, slope=1.0, bw=0.0, fw=0.0, stutter_c2=None):
+    def marginal_log10(self, templates, c2, slope=1.0, bw=0.0, fw=0.0):
         return np.zeros(np.atleast_2d(templates).shape[0])
 
 

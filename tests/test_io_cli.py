@@ -150,6 +150,68 @@ class TestCli:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "config", [{"split_stutter_variance": True}, {"split_stutter": True}]
+    )
+    def test_lr_unknown_config_key_is_validation_error(self, toy_files, config, capsys):
+        path = toy_files / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(
+            [
+                "lr",
+                "--profile", str(toy_files / "profile.csv"),
+                "--freq", str(toy_files / "freq.csv"),
+                "--hp", str(toy_files / "hp.json"),
+                "--hd", str(toy_files / "hd.json"),
+                "--config", str(path),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert next(iter(config)) in capsys.readouterr().err
+
+    @staticmethod
+    def _study(tmp_path, **extra):
+        freqs = {"L0": {"10": 0.4, "11": 0.35, "12": 0.25}}
+        mio.write_frequency_table(tmp_path / "freq.csv", FrequencyTable(freqs, n_individuals=500))
+        spec = {
+            "freq": "freq.csv",
+            "noc": 1,
+            "n_cases": 1,
+            "n_nondonors_per_case": 1,
+            "n_starts": 1,
+            **extra,
+        }
+        (tmp_path / "study.json").write_text(json.dumps(spec))
+        return main(
+            ["study", "--config", str(tmp_path / "study.json"), "--seed", "3",
+             "--out", str(tmp_path / "study_out")]
+        )
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"n_case": 2}, "n_case"),
+            ({"config": {"split_stutter_variance": True}}, "split_stutter_variance"),
+            ({"prior": {"template_max": 3000.0}}, "template_max"),
+            ({"prior": {"c2_bounds": [50.0, 2.0]}}, "bounds"),
+            ({"noc": "1"}, "study config"),
+        ],
+    )
+    def test_study_bad_config_is_validation_error(self, tmp_path, extra, key, capsys):
+        assert self._study(tmp_path, **extra) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+
+    def test_study_sets_model_config_and_prior(self, tmp_path, capsys):
+        code = self._study(
+            tmp_path,
+            config={"back_stutter": True},
+            prior={"template_hi": 3000.0, "c2": 12.0, "c2_bounds": [4.0, 40.0]},
+        )
+        assert code == EXIT_OK
+        records = mio.read_records_csv(tmp_path / "study_out" / "records.csv")
+        assert {r.engine for r in records} == {"MLE", "INT"}
+        assert len(records) == 2 * 2
+
     def test_study_and_calibrate_end_to_end(self, tmp_path, capsys):
         freqs = {
             "L0": {"10": 0.4, "11": 0.35, "12": 0.25},

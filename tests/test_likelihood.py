@@ -11,7 +11,6 @@ from mixlr.likelihood import (
     NEG_INF,
     MixtureEvaluator,
     dropout_mass,
-    log10_dropout_mass,
     full_likelihood,
     full_log10_likelihood,
     log10_peak_density,
@@ -222,39 +221,6 @@ class TestVectorisedAgreement:
             MassParams((t,), 12.0, degradation_slope=slope, bw_stutter_prop=bw),
             config,
         )
-
-    def test_stutter_variance_unsplit_unless_configured(self):
-        # the config does not split the stutter variance, so
-        # stutter_variance_c2 must not reach the kernel
-        profile = Profile({"L": [Peak("12", 800.0), Peak("11", 90.0)]}, 50.0)
-        table = FrequencyTable({"L": {"12": 0.3, "11": 0.2}}, n_individuals=500)
-        self._compare(
-            profile,
-            table,
-            Proposition(noc=1),
-            RareAllelePolicy.five_over_2n(),
-            MassParams((800.0,), 12.0, bw_stutter_prop=0.1, stutter_variance_c2=3.0),
-            ModelConfig(back_stutter=True),
-        )
-
-    def test_split_stutter_variance(self, policy):
-        # genotype 11,13 at template 800 with back stutter 0.1: 11 and 13
-        # are allelic peaks (c2), 12 and 10 receive stutter only (stutter c2)
-        profile = Profile({"L": [Peak("12", 800.0), Peak("11", 90.0)]}, 50.0)
-        table = FrequencyTable({"L": {"12": 0.3, "11": 0.2}}, n_individuals=500)
-        config = ModelConfig(back_stutter=True, split_stutter_variance=True)
-        sets = enumerate_sets(profile, Proposition(noc=1), table, policy, config)["L"]
-        lev = MixtureEvaluator(profile, {"L": sets}, config).evaluators[0]
-        live = [sets[i].set for i in lev.live_sets]
-        per_set = lev.set_log10_likelihoods(np.array([[800.0]]), 12.0, 1.0, 0.1, 0.0, 3.0)
-        got = per_set[0, live.index(GenotypeSet([Genotype("11", "13")]))]
-        want = (
-            log10_peak_density(800.0, 80.0, 3.0)
-            + log10_peak_density(90.0, 800.0, 12.0)
-            + log10_dropout_mass(800.0, 50.0, 12.0)
-            + log10_dropout_mass(80.0, 50.0, 3.0)
-        )
-        assert got == pytest.approx(want, abs=1e-9)
 
     def test_batch_shape(self, toy_profile, toy_table, policy, toy_hd):
         sets = enumerate_sets(toy_profile, toy_hd, toy_table, policy)

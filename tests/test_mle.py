@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixlr import toy
-from mixlr.likelihood import NEG_INF, MixtureEvaluator
-from mixlr.genotypes import enumerate_sets
+from mixlr.likelihood import NEG_INF, MixtureEvaluator, full_log10_likelihood
+from mixlr.genotypes import FrequencyTable, enumerate_sets
 from mixlr.mle import (
     CONTINUOUS,
     GRID,
@@ -23,10 +24,13 @@ from mixlr.model import (
     Genotype,
     MassParams,
     ModelConfig,
+    ParamSpace,
     Peak,
     Profile,
     Proposition,
 )
+
+EVERY_FEATURE = ModelConfig(back_stutter=True, forward_stutter=True, degradation=True)
 
 
 def grid_spec():
@@ -35,6 +39,40 @@ def grid_spec():
         c2=12.0,
         template_grids=[toy.T1_LATTICE, toy.T2_LATTICE],
     )
+
+
+class TestSearchSpec:
+    @pytest.mark.parametrize(
+        "box",
+        [
+            dict(template_hi=-1.0),
+            dict(c2_bounds=(50.0, 2.0)),
+            dict(slope_bounds=(0.0, 1.0)),
+            dict(template_hi=-1.0, c2_bounds=(50.0, 2.0)),
+        ],
+    )
+    def test_rejects_a_bad_box(self, box):
+        with pytest.raises(ValueError):
+            SearchSpec(**box)
+
+
+class TestParamSpace:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), noc=st.integers(1, 3))
+    def test_cube_round_trip(self, data, noc):
+        # every feature on and c2 free: noc templates minus the pinned ones
+        # plus c2, slope, bw and fw
+        pinned = data.draw(st.sets(st.integers(0, noc - 1), max_size=noc - 1))
+        space = ParamSpace(noc, EVERY_FEATURE, SearchSpec(), pinned=pinned)
+        assert space.ndim == noc - len(pinned) + 4
+        u = np.array(
+            data.draw(st.lists(st.floats(0.0, 1.0), min_size=space.ndim, max_size=space.ndim))
+        )
+        templates = space.from_cube(u[None])[0]
+        assert all(templates[0, i] == 0.0 for i in pinned)
+        params = space.params(u)
+        assert all(params.templates[i] == 0.0 for i in pinned)
+        np.testing.assert_allclose(space.to_cube(params), u, rtol=0, atol=1e-12)
 
 
 class TestGridMode:
@@ -106,6 +144,34 @@ class TestContinuousMode:
         )
         assert res.log10_max == NEG_INF
         assert not res.converged
+
+
+    def test_stutter_degradation_free_c2(self, policy):
+        profile = Profile(
+            {
+                "L": [Peak("12", 800.0, size=150.0), Peak("11", 90.0, size=146.0)],
+                "M": [Peak("8", 420.0, size=250.0), Peak("9", 210.0, size=254.0)],
+            },
+            50.0,
+        )
+        table = FrequencyTable(
+            {"L": {"11": 0.2, "12": 0.3}, "M": {"8": 0.25, "9": 0.25}}, n_individuals=500
+        )
+        config = ModelConfig(back_stutter=True, degradation=True)
+        prop = Proposition(noc=1)
+        spec = SearchSpec(n_starts=2, seed=4)
+        res = maximize(profile, prop, table, policy, config, search=spec)
+        p = res.params
+        assert 0.0 <= p.templates[0] <= spec.template_hi
+        lo, hi = spec.c2_bounds
+        assert lo * (1 - 1e-12) <= p.variance_c2 <= hi * (1 + 1e-12)
+        assert spec.slope_bounds[0] <= p.degradation_slope <= spec.slope_bounds[1]
+        assert 0.0 <= p.bw_stutter_prop <= spec.stutter_hi
+        assert p.fw_stutter_prop == 0.0
+        sets = enumerate_sets(profile, prop, table, policy, config)
+        assert res.log10_max == pytest.approx(
+            full_log10_likelihood(profile, sets, p, config), abs=1e-9
+        )
 
 
 class TestLrHelpers:

@@ -111,12 +111,6 @@ class TestExpectedHeights:
         e = expected_heights(gs, p, "L", ["12"], sizes={"12": 300.0})
         assert e["12"] == pytest.approx(2 * 500.0 * 0.8**2.0)
 
-    def test_locus_multiplier(self):
-        gs = GenotypeSet([Genotype("A", "A")])
-        p = MassParams((500.0,), 12.0, locus_multipliers={"L": 1.3})
-        assert expected_heights(gs, p, "L", ["A"])["A"] == pytest.approx(1300.0)
-        assert expected_heights(gs, p, "M", ["A"])["A"] == pytest.approx(1000.0)
-
 
 def test_degradation_factor_neutral():
     assert degradation_factor(1.0, 500.0) == 1.0
