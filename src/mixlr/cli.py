@@ -124,6 +124,15 @@ def _cmd_lr(args) -> int:
             profile, hp, hd, table, policy, config, SearchSpec(seed=args.seed)
         )
         out["mle"] = table3_report(report)
+        for res in (report.numerator, report.denominator):
+            for face, bound in (("c2_lo", "lower"), ("c2_hi", "upper")):
+                if face in res.faces:
+                    print(
+                        f"warning: the {res.hypothesis} fit's c2 "
+                        f"({res.params.variance_c2:g}) is on the {bound} bound of "
+                        "c2_bounds; the MLE LR is limited by the box",
+                        file=sys.stderr,
+                    )
         shown = "EXCLUSION" if report.lr_ml == 0 else f"{report.log10_lr_ml:.4f}"
         print(f"MLE log10 LR: {shown}")
     if args.engine in ("int", "both"):
@@ -176,7 +185,11 @@ def _cmd_study(args) -> int:
     summary = divergence_summary(records)
     for k in sorted(summary["groups"]):
         g = summary["groups"][k]
-        print(f"{k}: n={g['n']} frac_lr>1={g['fraction_lr_gt_1']:.3f}")
+        fits = (
+            f" nonconverged={g['n_nonconverged']} c2_on_face={g['n_c2_on_face']}"
+            if "n_nonconverged" in g else ""
+        )
+        print(f"{k}: n={g['n']} frac_lr>1={g['fraction_lr_gt_1']:.3f}{fits}")
     os.makedirs(args.out, exist_ok=True)
     mio.write_records_csv(os.path.join(args.out, "records.csv"), records)
     summary["metadata"] = mio.output_metadata(seed=args.seed, config=raw)

@@ -146,6 +146,7 @@ def write_genotype_csv(path: str, genotype: Mapping[str, Genotype]) -> None:
 
 _RECORD_COLUMNS = [
     "case_id", "donor_label", "engine", "log10_lr", "c2_hp", "c2_hd", "mixprop_divergence",
+    "converged", "function_evals", "c2_on_face",
 ]
 
 
@@ -164,6 +165,9 @@ def write_records_csv(path: str, records: Sequence[LrRecord]) -> None:
                     "" if r.c2_hp is None else repr(r.c2_hp),
                     "" if r.c2_hd is None else repr(r.c2_hd),
                     "" if r.mixprop_divergence is None else repr(r.mixprop_divergence),
+                    "" if r.converged is None else str(r.converged).lower(),
+                    "" if r.function_evals is None else r.function_evals,
+                    "" if r.c2_on_face is None else str(r.c2_on_face).lower(),
                 ]
             )
 
@@ -171,8 +175,11 @@ def write_records_csv(path: str, records: Sequence[LrRecord]) -> None:
 def read_records_csv(path: str) -> list[LrRecord]:
     out: list[LrRecord] = []
 
-    def opt(v):
-        return None if v in (None, "") else float(v)
+    def opt(v, kind=float):
+        return None if v in (None, "") else kind(v)
+
+    def flag(v):
+        return {"true": True, "false": False}.get(v)
 
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -186,6 +193,9 @@ def read_records_csv(path: str) -> list[LrRecord]:
                     c2_hp=opt(row.get("c2_hp")),
                     c2_hd=opt(row.get("c2_hd")),
                     mixprop_divergence=opt(row.get("mixprop_divergence")),
+                    converged=flag(row.get("converged")),
+                    function_evals=opt(row.get("function_evals"), int),
+                    c2_on_face=flag(row.get("c2_on_face")),
                 )
             )
     return out

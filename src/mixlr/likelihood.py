@@ -175,13 +175,22 @@ def set_log_likelihood(
     return total
 
 
+# np.exp takes a slow path, up to 100x slower per element, when its result
+# is subnormal or underflows to 0 (an exponent below about -708). Clipping
+# the exponent at -700 keeps it on the fast path. A clipped term, a -inf one
+# included, is then below 1e-304 against the largest term, which is 1, so
+# it cannot change the rounded sum.
+_MIN_LN = -700.0
+
+
 def log10sumexp(values: np.ndarray, axis=None) -> np.ndarray:
     """Stable log10 of a sum of 10**values."""
     values = np.asarray(values, dtype=float)
     m = np.max(values, axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum(np.power(10.0, values - m_safe), axis=axis, keepdims=True)
+        d = np.maximum(LN10 * (values - m_safe), _MIN_LN)
+        s = np.sum(np.exp(d), axis=axis, keepdims=True)
         out = m_safe + np.log10(s)
     out = np.where(np.isfinite(m), out, NEG_INF)
     return np.squeeze(out, axis=axis) if axis is not None else float(out.item())

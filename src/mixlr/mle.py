@@ -6,12 +6,17 @@ LR_ML = 10^(logL1 - logL2), and (for same-dimension hypothesis pairs)
 the two bounding ratios obtained by freezing the parameters at either
 hypothesis's optimum.
 
-Optimisation is derivative-free simplex search (Nelder-Mead) over an
-unconstrained space, the logit of the unit cube of the shared
-`ParamSpace`, multi-started from stratified random draws. Because the
-model is discontinuous at template = 0 (a contributor with exactly zero
-template drops out of the likelihood entirely, while an arbitrarily small
-template still pays per-position dropout mass), the search additionally
+Optimisation is bounded quasi-Newton search (L-BFGS-B) on the unit cube of
+the shared `ParamSpace`, multi-started from stratified random draws, as
+EuroForMix fits its MLE (Bleka, Storvik & Gill 2016). Each objective call
+is one batched kernel call that returns the value together with a
+central-difference gradient, one-sided at a bound. A face optimum is
+reached exactly and reported in `MleResult.faces`.
+
+Because the model is discontinuous at template = 0 (a contributor with
+exactly zero template drops out of the likelihood entirely, while an
+arbitrarily small template still pays per-position dropout mass), a free
+template axis stops at a small positive floor, and the search additionally
 runs boundary passes with each proper subset of templates pinned to
 exactly zero. That makes the fit of a nesting hypothesis provably at
 least as good as any nested one supplied as a warm start.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -35,39 +40,56 @@ from .model import (
     ParamSpace,
     Profile,
     Proposition,
-    tensor_grid,
 )
 
-CONTINUOUS = "CONTINUOUS"
-GRID = "GRID"
+# Lower bound of a free template axis in the cube. Exactly 0 is the jump
+# the boundary passes handle, and the corner where every template is 0
+# explains no peak (log10 likelihood -inf).
+_TEMPLATE_FLOOR = 1e-6
+# Finite-difference step on each cube axis.
+_FD_STEP = 1e-6
+# A point the model excludes (log10 likelihood -inf) scores this many times
+# max(1, |f0|) above the value f0 at the run's start. The line search
+# interpolates between values, so a finite penalty on the scale of the
+# objective makes it back off by a usable factor, where a huge one would
+# shrink its next step to nothing and end the run at its start.
+_EXCLUDED_SCALE = 1e3
 
 
 @dataclass(frozen=True)
 class SearchSpec(ParamBox):
-    """The parameter box of one maximisation, plus its restart policy."""
+    """The parameter box of one maximisation, plus its restart policy.
 
-    mode: str = CONTINUOUS
+    Each start runs L-BFGS-B on the box's unit cube: `max_iter` is its
+    iteration limit, and `xtol` its projected-gradient tolerance, so a run
+    stops once no component of the projected cube gradient of -log10 L
+    exceeds xtol. A run also stops when an iteration lowers -log10 L by a
+    relative 2.2e-9 or less (L-BFGS-B's default `ftol`).
+    """
+
     n_starts: int = 8
     seed: int = 0
     max_iter: int = 500
     xtol: float = 1e-6
-    # GRID mode: one lattice per contributor (a single lattice is shared)
-    template_grids: Optional[Sequence[Sequence[float]]] = None
     # warm starts in natural parameter space; zero templates allowed
     extra_starts: tuple[MassParams, ...] = ()
     boundary_passes: bool = True
 
     def __post_init__(self):
         super().__post_init__()
-        if self.mode not in (CONTINUOUS, GRID):
-            raise ValueError(f"unknown search mode {self.mode!r}")
         if self.n_starts < 1:
             raise ValueError("need at least one start")
 
 
 @dataclass(frozen=True)
 class MleResult:
-    """One hypothesis's fitted parameters and maximum log10 likelihood."""
+    """One hypothesis's fitted parameters and maximum log10 likelihood.
+
+    function_evals counts the parameter points evaluated. faces names the
+    box faces the optimum touches, as "<axis>_lo" or "<axis>_hi" with the
+    axes of `ParamSpace.axes`; a template pinned to exactly 0 is on its
+    "_lo" face.
+    """
 
     hypothesis: str
     params: MassParams
@@ -76,6 +98,7 @@ class MleResult:
     n_starts: int
     iterations: int
     function_evals: int
+    faces: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,27 +119,31 @@ class MlLrReport:
     lr_bound_high: Optional[float] = None
 
 
-# The simplex searches all of R^ndim; the sigmoid maps it onto the unit
-# cube of a ParamSpace, and the logit back. _logit clips so that a warm
-# start on a face of the box encodes to a finite point.
-def _sigmoid(u):
-    return 1.0 / (1.0 + np.exp(-u))
-
-
-def _logit(p):
-    p = np.clip(p, 1e-12, 1 - 1e-12)
-    return np.log(p / (1 - p))
+def _lower_bounds(space: ParamSpace) -> np.ndarray:
+    lower = np.zeros(space.ndim)
+    lower[: len(space.free_templates)] = _TEMPLATE_FLOOR
+    return lower
 
 
 def _stratified_starts(space: ParamSpace, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n start vectors, each dimension stratified over (0,1) then logit-mapped."""
-    if space.ndim == 0:
-        return np.zeros((n, 0))
+    """n cube points, each dimension stratified over (0,1)."""
     fracs = np.empty((n, space.ndim))
     for d in range(space.ndim):
         strata = rng.permutation(n)
         fracs[:, d] = (strata + rng.uniform(0.05, 0.95, size=n)) / n
-    return _logit(fracs)
+    return fracs
+
+
+def _faces(space: ParamSpace, u: np.ndarray) -> tuple[str, ...]:
+    """The box faces a cube point of `space` touches, pinned templates included."""
+    lower = _lower_bounds(space)
+    faces = [f"template{i}_lo" for i in space.pinned]
+    for name, x, lo in zip(space.axes, u, lower):
+        if x <= lo:
+            faces.append(f"{name}_lo")
+        elif x >= 1.0:
+            faces.append(f"{name}_hi")
+    return tuple(sorted(faces))
 
 
 def build_evaluator(
@@ -132,74 +159,55 @@ def build_evaluator(
     return MixtureEvaluator(profile, sets, config)
 
 
-def _objective(ev: MixtureEvaluator, space: ParamSpace):
-    """Negated log10 likelihood at an unconstrained point, and an evaluation counter."""
-    counter = {"n": 0}
+def _run_lbfgsb(ev, space, starts, search):
+    """Best (log10, cube point, converged) over L-BFGS-B runs from each
+    start, plus the iterations and parameter points they took."""
+    lower, upper = _lower_bounds(space), np.ones(space.ndim)
+    n = space.ndim
+    evals = 0
+    excluded = None  # the current run's penalty; set at its start point
 
-    def f(u: np.ndarray) -> float:
-        counter["n"] += 1
-        ll = float(ev.marginal_log10(*space.from_cube(_sigmoid(u)[None]))[0])
-        return 1e308 if ll == NEG_INF else -ll
-
-    return f, counter
-
-
-def _run_simplex(ev, space, starts, search):
-    """Best (log10, params) over Nelder-Mead runs from each start vector."""
-    f, counter = _objective(ev, space)
-    best_ll, best_params, iters, ok = NEG_INF, None, 0, False
-    # a large negative u overflows exp(-u) and maps a template to exactly 0
-    with np.errstate(over="ignore"):
-        for u0 in starts:
-            if space.ndim == 0:
-                ll = -f(np.zeros(0))
-                if ll > best_ll:
-                    best_ll, best_params, ok = ll, space.params(np.zeros(0)), True
-                continue
-            r = minimize(
-                f,
-                np.asarray(u0, dtype=float),
-                method="Nelder-Mead",
-                options={
-                    "xatol": search.xtol,
-                    "fatol": 1e-10,
-                    "maxiter": search.max_iter * space.ndim,
-                },
+    def value_and_gradient(u):
+        # one batch: u, then a step up each axis, then a step down each axis,
+        # each step stopping at the bound
+        nonlocal evals, excluded
+        up, down = np.minimum(u + _FD_STEP, upper), np.maximum(u - _FD_STEP, lower)
+        pts = np.repeat(u[None], 2 * n + 1, axis=0)
+        pts[1 : n + 1][np.diag_indices(n)] = up
+        pts[n + 1 :][np.diag_indices(n)] = down
+        ll = ev.marginal_log10(*space.from_cube(pts))
+        evals += len(pts)
+        if excluded is None:
+            excluded = np.inf if ll[0] == NEG_INF else (
+                -ll[0] + _EXCLUDED_SCALE * max(1.0, abs(ll[0]))
             )
-            iters += r.nit
-            val = -float(r.fun)
-            if val <= -1e307:  # every evaluation hit a structural exclusion
-                continue
-            if val > best_ll:
-                best_ll, best_params, ok = val, space.params(_sigmoid(r.x)), bool(r.success)
-    return best_ll, best_params, iters, counter["n"], ok
+        if ll[0] == NEG_INF:
+            return excluded, np.zeros(n)
+        # a side the model excludes falls back on the centre point
+        ll_up, ll_down = ll[1 : n + 1], ll[n + 1 :]
+        ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
+        rise = np.where(ok_up, ll_up, ll[0]) - np.where(ok_down, ll_down, ll[0])
+        width = np.where(ok_up, up, u) - np.where(ok_down, down, u)
+        grad = np.divide(rise, width, out=np.zeros(n), where=width > 0)
+        return -ll[0], -grad
 
-
-def _grid_maximize(ev, proposition, search) -> MleResult:
-    if search.c2 is None:
-        raise ValueError("GRID mode requires a pinned c2")
-    if search.template_grids is None:
-        raise ValueError("GRID mode requires template lattices")
-    grids = [np.asarray(g, dtype=float) for g in search.template_grids]
-    if len(grids) == 1 and proposition.noc > 1:
-        grids = grids * proposition.noc
-    if len(grids) != proposition.noc:
-        raise ValueError(f"{len(grids)} lattices for NoC={proposition.noc}")
-    mesh = tensor_grid(grids)
-    ll = ev.marginal_log10(mesh, search.c2)
-    n_eval = len(mesh)
-    i = int(np.argmax(ll))
-    best_ll = float(ll[i])
-    params = MassParams(templates=tuple(mesh[i]), variance_c2=search.c2)
-    return MleResult(
-        hypothesis=proposition.label,
-        params=params,
-        log10_max=best_ll,
-        converged=True,
-        n_starts=1,
-        iterations=n_eval,
-        function_evals=n_eval,
-    )
+    best_ll, best_u, iters, ok = NEG_INF, None, 0, False
+    for u0 in starts:
+        excluded = None
+        r = minimize(
+            value_and_gradient,
+            np.clip(u0, lower, upper),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(lower, upper)),
+            options={"gtol": search.xtol, "maxiter": search.max_iter},
+        )
+        iters += r.nit
+        if excluded == np.inf:  # the run started on a structural exclusion
+            continue
+        if -r.fun > best_ll:
+            best_ll, best_u, ok = -float(r.fun), r.x, bool(r.success)
+    return best_ll, best_u, iters, evals, ok
 
 
 def maximize(
@@ -213,36 +221,33 @@ def maximize(
 ) -> MleResult:
     """Maximise the genotype-marginalised likelihood under one proposition.
 
-    Deterministic given the seed. Returns the best of: multi-start simplex
-    runs over the full space, boundary passes with template subsets pinned
-    to zero, and any warm starts (evaluated raw and then polished), so a
-    warm start can never be beaten downward.
+    Deterministic given the seed. Returns the best of: multi-start
+    L-BFGS-B runs over the full space, boundary passes with template
+    subsets pinned to zero, and any warm starts (evaluated raw and then
+    polished), so a warm start can never be beaten downward.
     """
     config = config or ModelConfig()
     ev = evaluator if evaluator is not None else build_evaluator(
         profile, proposition, table, policy, config
     )
-    if search.mode == GRID:
-        return _grid_maximize(ev, proposition, search)
-
     rng = np.random.default_rng(search.seed)
     space = ParamSpace(proposition.noc, config, search)
     starts = list(_stratified_starts(space, search.n_starts, rng))
     warm_by_pin: dict[frozenset, list[MassParams]] = {}
-    best_ll, best_params = NEG_INF, None
+    best_ll, best_params, best_faces = NEG_INF, None, ()
     for w in search.extra_starts:
         zeros = frozenset(i for i, t in enumerate(w.templates) if t == 0.0)
         warm_by_pin.setdefault(zeros, []).append(w)
         ll = ev.marginal_log10_params(w)
         if ll > best_ll:
-            best_ll, best_params = ll, w
+            sub = ParamSpace(proposition.noc, config, search, pinned=zeros)
+            best_ll, best_params, best_faces = ll, w, _faces(sub, sub.to_cube(w))
     for w in warm_by_pin.get(frozenset(), ()):
-        starts.append(_logit(space.to_cube(w)))
+        starts.append(space.to_cube(w))
 
-    ll, params, iters, evals, ok = _run_simplex(ev, space, starts, search)
-    converged = ok
+    ll, u, iters, evals, converged = _run_lbfgsb(ev, space, starts, search)
     if ll > best_ll:
-        best_ll, best_params = ll, params
+        best_ll, best_params, best_faces = ll, space.params(u), _faces(space, u)
 
     if search.boundary_passes and proposition.noc > 1:
         n_sub = max(2, search.n_starts // 4)
@@ -251,12 +256,12 @@ def maximize(
                 sub = ParamSpace(proposition.noc, config, search, pinned=pin)
                 sub_starts = list(_stratified_starts(sub, n_sub, rng))
                 for w in warm_by_pin.get(frozenset(pin), ()):
-                    sub_starts.append(_logit(sub.to_cube(w)))
-                ll, params, it2, ev2, _ = _run_simplex(ev, sub, sub_starts, search)
+                    sub_starts.append(sub.to_cube(w))
+                ll, u, it2, ev2, _ = _run_lbfgsb(ev, sub, sub_starts, search)
                 iters += it2
                 evals += ev2
                 if ll > best_ll:
-                    best_ll, best_params = ll, params
+                    best_ll, best_params, best_faces = ll, sub.params(u), _faces(sub, u)
 
     if best_params is None:
         # every start and pass stayed at -inf: structural exclusion
@@ -273,6 +278,7 @@ def maximize(
         n_starts=search.n_starts,
         iterations=iters,
         function_evals=evals,
+        faces=best_faces,
     )
 
 
@@ -394,6 +400,8 @@ def table3_report(report: MlLrReport) -> dict:
             "fw_stutter_prop": p.fw_stutter_prop,
             "log10_likelihood": res.log10_max,
             "converged": res.converged,
+            "function_evals": res.function_evals,
+            "faces": list(res.faces),
         }
 
     return {

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -218,6 +218,11 @@ class ModelConfig:
     forward_stutter: bool = False
     degradation: bool = False
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), bool):
+                raise TypeError(f"{f.name} must be true or false, got {getattr(self, f.name)!r}")
+
     def validate_params(self, params: MassParams) -> None:
         if not self.back_stutter and params.bw_stutter_prop != 0:
             raise ValueError("back stutter disabled but bw_stutter_prop != 0")
@@ -258,15 +263,18 @@ class ParamSpace:
 
     The axes are the templates not pinned to exactly zero, in contributor
     order, then c2 when the box leaves it free, then the slope and the back
-    and forward stutter proportions when the config enables them. Every
-    axis is affine in the cube except c2, which is affine in log c2.
+    and forward stutter proportions when the config enables them; `axes`
+    names them ("template<i>", "c2", "slope", "bw", "fw"). Every axis is
+    affine in the cube except c2, which is affine in log c2.
     """
 
     def __init__(self, noc: int, config: ModelConfig, box: ParamBox, pinned=()):
         self.noc = noc
         self.box = box
-        pinned = frozenset(pinned)
-        self.free_templates = np.array([i for i in range(noc) if i not in pinned], dtype=int)
+        self.pinned = tuple(sorted(set(pinned)))
+        self.free_templates = np.array(
+            [i for i in range(noc) if i not in self.pinned], dtype=int
+        )
         ranges = {
             "c2": (math.log(box.c2_bounds[0]), math.log(box.c2_bounds[1])),
             "slope": box.slope_bounds,
@@ -280,6 +288,7 @@ class ParamSpace:
             "fw": config.forward_stutter,
         }
         self.scalars = [name for name, on in active.items() if on]
+        self.axes = [f"template{i}" for i in self.free_templates] + self.scalars
         bounds = [(0.0, box.template_hi)] * len(self.free_templates)
         bounds += [ranges[name] for name in self.scalars]
         self.ndim = len(bounds)

@@ -13,7 +13,7 @@ spawning, so a (config, seed) pair regenerates every record exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -83,6 +83,11 @@ class LrRecord:
     c2_hp: Optional[float] = None
     c2_hd: Optional[float] = None
     mixprop_divergence: Optional[float] = None
+    # MLE fit diagnostics: both fits converged; parameter points the Hp and
+    # the Hd fit evaluated; either fitted c2 on a face of its box
+    converged: Optional[bool] = None
+    function_evals: Optional[int] = None
+    c2_on_face: Optional[bool] = None
 
     @property
     def excluded(self) -> bool:
@@ -238,7 +243,10 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
         engine_seeds = {e: s for e, s in zip(cfg.engines, eng_seq.spawn(len(cfg.engines)))}
 
         if ENGINE_MLE in cfg.engines:
+            # the study's box, so the engines differ only in maximising
+            # versus integrating over it
             search = SearchSpec(
+                **asdict(cfg.prior),
                 n_starts=cfg.n_starts,
                 seed=int(np.random.default_rng(engine_seeds[ENGINE_MLE]).integers(2**31)),
             )
@@ -304,6 +312,11 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
                         mixprop_divergence=max(
                             abs(a - b) for a, b in zip(sorted(props_p), sorted(props_d))
                         ),
+                        converged=res_p.converged and res_d.converged,
+                        function_evals=res_p.function_evals + res_d.function_evals,
+                        c2_on_face=any(
+                            f in r.faces for r in (res_p, res_d) for f in ("c2_lo", "c2_hi")
+                        ),
                     )
                 )
 
@@ -352,7 +365,10 @@ def divergence_summary(records: Sequence[LrRecord]) -> dict:
     """Fractions, quantiles, and fitted-parameter diagnostics per engine/label.
 
     An exclusion counts in fraction_excluded and never as LR > 1; the
-    quantiles cover finite log10 LRs only.
+    quantiles cover finite log10 LRs only. Groups whose records carry MLE
+    fit diagnostics also count the records with a fit that did not
+    converge (n_nonconverged) and with a fitted c2 on a face of its box
+    (n_c2_on_face).
     """
     out: dict = {"groups": {}, "paired": {}}
     groups: dict[tuple[str, str], list[LrRecord]] = {}
@@ -379,6 +395,10 @@ def divergence_summary(records: Sequence[LrRecord]) -> dict:
             entry["median_c2_hp_minus_hd"] = float(np.median(diffs))
             entry["max_c2_ratio"] = float(max(ratios)) if ratios else None
             entry["c2_pairs"] = c2_pairs
+        fits = [r for r in rs if r.converged is not None]
+        if fits:
+            entry["n_nonconverged"] = sum(1 for r in fits if not r.converged)
+            entry["n_c2_on_face"] = sum(1 for r in fits if r.c2_on_face)
         divs = [r.mixprop_divergence for r in rs if r.mixprop_divergence is not None]
         if divs:
             entry["median_mixprop_divergence"] = float(np.median(divs))

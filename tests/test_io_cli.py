@@ -46,6 +46,11 @@ class TestRoundTrips:
         records = [
             LrRecord(0, NONDONOR_RESAMPLED, ENGINE_MLE, 1.25, c2_hp=14.0, c2_hd=9.0),
             LrRecord(1, NONDONOR_RESAMPLED, ENGINE_MLE, None),
+            LrRecord(
+                2, NONDONOR_RESAMPLED, ENGINE_MLE, -0.5, c2_hp=50.0, c2_hd=9.0,
+                converged=False, function_evals=1234, c2_on_face=True,
+            ),
+            LrRecord(3, NONDONOR_RESAMPLED, ENGINE_MLE, 0.5, converged=True, c2_on_face=False),
         ]
         path = tmp_path / "records.csv"
         mio.write_records_csv(path, records)
@@ -125,6 +130,29 @@ class TestCli:
         assert ("did not converge" in captured.err) == unconverged
         assert "metadata" in payload
 
+    def test_lr_warns_on_c2_at_a_bound(self, toy_files, tmp_path, capsys):
+        # two balanced peaks from one contributor: c2 fits at its lower bound
+        balanced = Profile({"L": [Peak("A", 1000.0), Peak("B", 1000.0)]}, 50.0)
+        mio.write_profile_csv(toy_files / "balanced.csv", balanced)
+        out = tmp_path / "lr.json"
+        code = main(
+            [
+                "lr",
+                "--profile", str(toy_files / "balanced.csv"),
+                "--freq", str(toy_files / "freq.csv"),
+                "--hp", str(toy_files / "hp.json"),
+                "--hd", str(toy_files / "hd.json"),
+                "--engine", "mle",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert "the Hd fit's c2 (2) is on the lower bound" in err
+        hd = json.loads(out.read_text())["mle"]["hd"]
+        assert hd["peak_height_variability_c2"] == 2.0
+        assert "c2_lo" in hd["faces"]
+
     def test_missing_file_is_io_error(self, toy_files, capsys):
         code = main(
             [
@@ -151,7 +179,8 @@ class TestCli:
         assert code == EXIT_VALIDATION
 
     @pytest.mark.parametrize(
-        "config", [{"split_stutter_variance": True}, {"split_stutter": True}]
+        "config",
+        [{"split_stutter_variance": True}, {"split_stutter": True}, {"back_stutter": "false"}],
     )
     def test_lr_unknown_config_key_is_validation_error(self, toy_files, config, capsys):
         path = toy_files / "config.json"
@@ -211,6 +240,16 @@ class TestCli:
         records = mio.read_records_csv(tmp_path / "study_out" / "records.csv")
         assert {r.engine for r in records} == {"MLE", "INT"}
         assert len(records) == 2 * 2
+
+    def test_study_fits_mle_on_the_prior_box(self, tmp_path, capsys):
+        assert self._study(tmp_path, prior={"c2": 12.0, "template_hi": 3000.0}) == EXIT_OK
+        records = mio.read_records_csv(tmp_path / "study_out" / "records.csv")
+        mle = [r for r in records if r.engine == "MLE"]
+        assert mle
+        for r in mle:
+            assert r.c2_hp == r.c2_hd == 12.0
+            assert r.converged is not None and r.function_evals > 0
+            assert r.c2_on_face is False
 
     def test_study_and_calibrate_end_to_end(self, tmp_path, capsys):
         freqs = {

@@ -8,8 +8,6 @@ from mixlr import toy
 from mixlr.likelihood import NEG_INF, MixtureEvaluator, full_log10_likelihood
 from mixlr.genotypes import FrequencyTable, enumerate_sets
 from mixlr.mle import (
-    CONTINUOUS,
-    GRID,
     MleResult,
     SearchSpec,
     bounded_lrs,
@@ -28,17 +26,20 @@ from mixlr.model import (
     Peak,
     Profile,
     Proposition,
+    tensor_grid,
 )
 
 EVERY_FEATURE = ModelConfig(back_stutter=True, forward_stutter=True, degradation=True)
 
 
-def grid_spec():
-    return SearchSpec(
-        mode=GRID,
-        c2=12.0,
-        template_grids=[toy.T1_LATTICE, toy.T2_LATTICE],
-    )
+def lattice_argmax(profile, table, policy, prop, lattices):
+    """(templates, log10 likelihood) of the kernel's maximum over a lattice
+    of templates at c2 = 12."""
+    mesh = tensor_grid(lattices)
+    ev = build_evaluator(profile, prop, table, policy, ModelConfig())
+    ll = ev.marginal_log10(mesh, 12.0)
+    i = int(np.argmax(ll))
+    return tuple(mesh[i]), float(ll[i])
 
 
 class TestSearchSpec:
@@ -76,36 +77,36 @@ class TestParamSpace:
 
 
 class TestGridMode:
+    """The lattice argmax of the toy benchmark, read off the kernel."""
+
     def test_two_contributor_argmax(self, toy_profile, toy_table, policy, toy_hp):
-        res = maximize(toy_profile, toy_hp, toy_table, policy, search=grid_spec())
+        templates, ll = lattice_argmax(
+            toy_profile, toy_table, policy, toy_hp, [toy.T1_LATTICE, toy.T2_LATTICE]
+        )
         # on the lattice the unknown sits at 1025 and the fixed BB at 50
-        assert res.params.templates == (1025.0, 50.0)
+        assert templates == (1025.0, 50.0)
         ev = build_evaluator(toy_profile, toy_hp, toy_table, policy, ModelConfig())
-        assert res.log10_max == pytest.approx(
+        assert ll == pytest.approx(
             ev.marginal_log10_params(MassParams((1025.0, 50.0), 12.0)), abs=1e-12
         )
         # the AB-unknown term alone is a lower bound on the marginal
-        assert res.log10_max >= math.log10(0.32 * toy.density_pair(1025.0, 50.0))
+        assert ll >= math.log10(0.32 * toy.density_pair(1025.0, 50.0))
 
     def test_one_contributor_argmax(self, toy_profile, toy_table, policy, toy_hd):
-        spec = SearchSpec(mode=GRID, c2=12.0, template_grids=[toy.T1_LATTICE])
-        res = maximize(toy_profile, toy_hd, toy_table, policy, search=spec)
-        assert res.params.templates == (1075.0,)
-
-    def test_grid_requires_pinned_c2(self, toy_profile, toy_table, policy, toy_hd):
-        spec = SearchSpec(mode=GRID, template_grids=[toy.T1_LATTICE])
-        with pytest.raises(ValueError):
-            maximize(toy_profile, toy_hd, toy_table, policy, search=spec)
+        templates, _ = lattice_argmax(toy_profile, toy_table, policy, toy_hd, [toy.T1_LATTICE])
+        assert templates == (1075.0,)
 
 
 class TestContinuousMode:
     def test_beats_lattice(self, toy_profile, toy_table, policy, toy_hp):
-        grid = maximize(toy_profile, toy_hp, toy_table, policy, search=grid_spec())
+        _, lattice_max = lattice_argmax(
+            toy_profile, toy_table, policy, toy_hp, [toy.T1_LATTICE, toy.T2_LATTICE]
+        )
         cont = maximize(
             toy_profile, toy_hp, toy_table, policy,
             search=SearchSpec(c2=12.0, n_starts=6, seed=1),
         )
-        assert cont.log10_max >= grid.log10_max - 1e-9
+        assert cont.log10_max >= lattice_max - 1e-9
 
     def test_seed_determinism(self, toy_profile, toy_table, policy, toy_hp):
         spec = SearchSpec(c2=12.0, n_starts=4, seed=7)
@@ -172,6 +173,75 @@ class TestContinuousMode:
         assert res.log10_max == pytest.approx(
             full_log10_likelihood(profile, sets, p, config), abs=1e-9
         )
+
+    def test_excluded_face_does_not_stall_the_search(self, policy):
+        # the POI's 12,12 explains the 11 peak only as back stutter, so every
+        # point with bw = 0 is excluded; the first projected step lands there
+        profile = Profile({"L": [Peak("12", 800.0), Peak("11", 60.0)]}, 50.0)
+        table = FrequencyTable({"L": {"11": 0.2, "12": 0.3}}, n_individuals=500)
+        config = ModelConfig(back_stutter=True)
+        prop = Proposition(noc=1, fixed_contributors={0: {"L": Genotype("12", "12")}})
+        ev = build_evaluator(profile, prop, table, policy, config)
+        near_optimum = ev.marginal_log10_params(MassParams((415.0,), 12.0, bw_stutter_prop=0.1))
+        for seed in range(3):
+            res = maximize(
+                profile, prop, table, policy, config,
+                search=SearchSpec(c2=12.0, n_starts=2, seed=seed),
+            )
+            assert res.converged
+            assert res.log10_max >= near_optimum
+
+
+class TestBoxFaces:
+    def test_c2_reaches_its_lower_bound_exactly(self, policy):
+        # two balanced peaks fit exactly by one contributor: the likelihood
+        # keeps rising as c2 falls, so the optimum sits on the c2_lo face
+        profile = Profile({"L": [Peak("A", 1000.0), Peak("B", 1000.0)]}, 50.0)
+        table = FrequencyTable({"L": {"A": 0.4, "B": 0.4}}, n_individuals=500)
+        spec = SearchSpec(n_starts=2, seed=0)
+        res = maximize(profile, Proposition(noc=1), table, policy, search=spec)
+        assert res.params.variance_c2 == spec.c2_bounds[0]
+        assert res.faces == ("c2_lo",)
+        assert res.converged
+        ev = build_evaluator(profile, Proposition(noc=1), table, policy, ModelConfig())
+        for t in (990.0, 1000.0, 1010.0):
+            assert res.log10_max >= ev.marginal_log10_params(MassParams((t,), 2.0))
+
+    def test_interior_optimum_touches_no_face(self, toy_profile, toy_table, policy, toy_hd):
+        res = maximize(
+            toy_profile, toy_hd, toy_table, policy, search=SearchSpec(c2=12.0, n_starts=2)
+        )
+        assert res.faces == ()
+
+    def test_boundary_pass_reports_the_pinned_template(self, toy_profile, toy_table, policy):
+        # a second unknown only costs dropout mass, so the best fit drops it
+        res = maximize(
+            toy_profile, Proposition(noc=2), toy_table, policy,
+            search=SearchSpec(c2=12.0, n_starts=4, seed=1),
+        )
+        assert 0.0 in res.params.templates
+        assert res.faces == (f"template{res.params.templates.index(0.0)}_lo",)
+
+
+class TestEvaluationCount:
+    def test_counts_parameter_points(self, toy_profile, toy_table, policy, toy_hp):
+        ev = build_evaluator(toy_profile, toy_hp, toy_table, policy, ModelConfig())
+        points = []
+        kernel = ev.marginal_log10
+
+        def counted(templates, *scalars):
+            points.append(len(templates))
+            return kernel(templates, *scalars)
+
+        ev.marginal_log10 = counted
+        res = maximize(
+            toy_profile, toy_hp, toy_table, policy,
+            search=SearchSpec(n_starts=2, seed=3), evaluator=ev,
+        )
+        assert res.function_evals == sum(points)
+        # every objective call is one batch: the point and a step each way
+        # along each of its axes
+        assert set(points) <= {2 * 3 + 1, 2 * 2 + 1}
 
 
 class TestLrHelpers:

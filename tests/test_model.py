@@ -27,6 +27,12 @@ def test_shift_allele():
 
 
 class TestValidation:
+    @pytest.mark.parametrize("field", ["back_stutter", "forward_stutter", "degradation"])
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_model_config_takes_booleans_only(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            ModelConfig(**{field: value})
+
     def test_peak_rejects_nonpositive_height(self):
         with pytest.raises(ValueError):
             Peak("A", 0.0)
