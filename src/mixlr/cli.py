@@ -87,13 +87,16 @@ def _cmd_toy(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         grid = toy.toy_grid()
-        with open(os.path.join(args.out, "toy_grid.csv"), "w", newline="") as fh:
+        stamp = mio.output_metadata(config={"mode": args.mode})
+        grid_path = os.path.join(args.out, "toy_grid.csv")
+        with open(grid_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t1"] + [f"t2={t:g}" for t in toy.T2_LATTICE])
             for i, t1 in enumerate(toy.T1_LATTICE):
                 w.writerow([f"{t1:g}"] + [repr(v) for v in grid[i]])
+        mio.write_stamp(grid_path, stamp)
         payload = {name: asdict(rep) for name, rep in reports.items()}
-        payload["metadata"] = mio.output_metadata(config={"mode": args.mode})
+        payload["metadata"] = stamp
         mio.write_json(os.path.join(args.out, "toy_report.json"), payload)
     for name, rep in reports.items():
         print(
@@ -185,14 +188,16 @@ def _cmd_study(args) -> int:
     summary = divergence_summary(records)
     for k in sorted(summary["groups"]):
         g = summary["groups"][k]
-        fits = (
-            f" nonconverged={g['n_nonconverged']} c2_on_face={g['n_c2_on_face']}"
-            if "n_nonconverged" in g else ""
+        fits = "".join(
+            f" {name}={g['n_' + name]}"
+            for name in ("nonconverged", "c2_on_face") if "n_" + name in g
         )
         print(f"{k}: n={g['n']} frac_lr>1={g['fraction_lr_gt_1']:.3f}{fits}")
     os.makedirs(args.out, exist_ok=True)
-    mio.write_records_csv(os.path.join(args.out, "records.csv"), records)
     summary["metadata"] = mio.output_metadata(seed=args.seed, config=raw)
+    mio.write_records_csv(
+        os.path.join(args.out, "records.csv"), records, summary["metadata"]
+    )
     for g in summary["groups"].values():
         g.pop("c2_pairs", None)  # scatter data lives in records.csv
     mio.write_json(os.path.join(args.out, "summary.json"), summary)
@@ -208,7 +213,9 @@ def _cmd_calibrate(args) -> int:
     for system, records in grouped.items():
         result = calibrate(records, bin_width=args.binwidth)
         tag = system or "all"
-        mio.write_calibration_csv(os.path.join(args.out, f"calibration_{tag}.csv"), result)
+        mio.write_calibration_csv(
+            os.path.join(args.out, f"calibration_{tag}.csv"), result, verdicts["metadata"]
+        )
         plot_path = os.path.join(args.out, f"plotdata_{tag}.csv")
         with open(plot_path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -221,6 +228,7 @@ def _cmd_calibrate(args) -> int:
                 w.writerow(
                     [(b.lo + b.hi) / 2, logit(b.observed), logit(b.p_lo), logit(b.p_hi)]
                 )
+        mio.write_stamp(plot_path, verdicts["metadata"])
         verdicts["systems"][tag] = {
             "n_hp": result["n_hp"],
             "n_ha": result["n_ha"],

@@ -81,7 +81,10 @@ def _mean_of_log10(lls: np.ndarray) -> tuple[float, float, float]:
     m = float(np.max(lls))
     if m == NEG_INF:
         return 0.0, NEG_INF, 0.0
-    scaled = np.power(10.0, lls - m)
+    # np.power slows down about tenfold where its result underflows. Raising
+    # a term to 1e-300 of the largest, which is 1, moves the mean by less
+    # than 1e-300, far below the mean's own rounding error (it is >= 1/n)
+    scaled = np.power(10.0, np.maximum(lls - m, -300.0))
     mean = float(np.mean(scaled))
     se = float(np.std(scaled, ddof=1)) / math.sqrt(len(scaled)) if len(scaled) > 1 else 0.0
     return 10.0**m * mean, m + math.log10(mean), 10.0**m * se

@@ -5,7 +5,8 @@ Formats are deliberately plain: comma-separated with a header row, an
 "EXCLUSION" sentinel wherever an LR of zero must survive a round trip,
 and a sidecar JSON carrying the frequency database's N and per-locus k.
 Every JSON artifact carries a format/version stamp so downstream readers
-can detect drift.
+can detect drift, and every CSV artifact carries it in a <file>.meta.json
+sidecar.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ def output_metadata(seed: Optional[int] = None, config: object = None) -> dict:
         blob = json.dumps(config, sort_keys=True, default=str).encode()
         meta["config_hash"] = hashlib.sha256(blob).hexdigest()[:16]
     return meta
+
+
+def write_stamp(path: str, metadata: Optional[dict] = None) -> None:
+    """Write the reproducibility stamp of a CSV artifact beside it, as
+    <path>.meta.json; the default stamp carries no seed or config hash."""
+    write_json(f"{path}.meta.json", metadata or output_metadata())
 
 
 def read_profile_csv(path: str, analytical_threshold: Optional[float] = None) -> Profile:
@@ -150,8 +157,11 @@ _RECORD_COLUMNS = [
 ]
 
 
-def write_records_csv(path: str, records: Sequence[LrRecord]) -> None:
-    """Study records; an exclusion is the literal sentinel, never a number."""
+def write_records_csv(
+    path: str, records: Sequence[LrRecord], metadata: Optional[dict] = None
+) -> None:
+    """Study records; an exclusion is the literal sentinel, never a number.
+    The stamp (metadata, by default output_metadata()) goes to the sidecar."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_RECORD_COLUMNS)
@@ -170,6 +180,7 @@ def write_records_csv(path: str, records: Sequence[LrRecord]) -> None:
                     "" if r.c2_on_face is None else str(r.c2_on_face).lower(),
                 ]
             )
+    write_stamp(path, metadata)
 
 
 def read_records_csv(path: str) -> list[LrRecord]:
@@ -219,8 +230,9 @@ def read_calibration_csv(path: str) -> dict[str, list[tuple[Optional[float], str
     return out
 
 
-def write_calibration_csv(path: str, result: dict) -> None:
-    """The bin table of one calibration run."""
+def write_calibration_csv(path: str, result: dict, metadata: Optional[dict] = None) -> None:
+    """The bin table of one calibration run, with its stamp (metadata, by
+    default output_metadata()) in the sidecar."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -235,6 +247,7 @@ def write_calibration_csv(path: str, result: dict) -> None:
                  "" if b.ci_hi is None else repr(b.ci_hi),
                  b.verdict]
             )
+    write_stamp(path, metadata)
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -13,6 +13,17 @@ then zero, and the degradation factor is always > 0. Its likelihood is
 -inf everywhere, so dropping it at construction changes no result; a
 locus with no live set excludes every point.
 
+Within a locus the batch evaluator does its transcendental work (log,
+density, dropout log_ndtr) once per distinct expectation row, not once per
+(position, set). A set's expected height at a position depends on the set
+only through the copies each contributor carries there and at the
+position's modelled stutter sources, each 0, 1 or 2, so without stutter a
+position has at most 3**NoC rows however many sets the locus enumerates.
+The row terms are gathered back per set and summed over positions in
+position order. Each element goes through the same floating-point
+operations as it would in a kernel over every set, so sharing rows changes
+no result, bit for bit.
+
 The density is the normal law of log10(O/E) with mean 0 and variance
 c2/E, taken in log-ratio space (no Jacobian back to height space); allelic
 and stutter peaks share the one c2. A structural exclusion is the ordinary
@@ -238,6 +249,29 @@ def full_likelihood(
     return 0.0 if ll == NEG_INF else 10.0**ll
 
 
+def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows in lexicographic order, row of each input row) of a 2-D
+    table of small non-negative integers.
+
+    Each row is read as one mixed-radix integer, its first column the most
+    significant digit, so a 1-D sort does what np.unique(axis=0) does with a
+    much slower sort of whole rows. Where the next digit could overflow
+    int64, the codes so far are replaced by their ranks, which keeps their
+    order.
+    """
+    code = np.zeros(len(table), dtype=np.int64)
+    bound = 1
+    for column in table.T:
+        radix = int(column.max(initial=0)) + 1
+        if bound * radix >= 1 << 62:
+            _, code = np.unique(code, return_inverse=True)
+            bound = int(code.max(initial=0)) + 1
+        code = code * radix + column
+        bound *= radix
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return table[first], inverse.reshape(-1)
+
+
 # Elements (batch rows x live sets x positions) in one kernel temporary, so
 # memory per chunk stays bounded at any NoC and any batch size. 2**15
 # float64 values (256 KiB) keep a chunk's temporaries in a core's L2 cache:
@@ -252,9 +286,22 @@ class LocusEvaluator:
     The constructor does, once per locus enumeration, everything that does
     not depend on the parameter point: it keeps only the live genotype sets
     (see `live_sets`), lays out the copy-number tensor with the observed
-    positions first, and notes which model terms the config and the
-    fragment sizes leave neutral, so a call does only the arithmetic that
-    can change its result.
+    positions first, notes which model terms the config and the fragment
+    sizes leave neutral, and reduces the tensor to its distinct expectation
+    rows.
+
+    The expected height of a set at position p is
+    deg(p) * (sum_c t_c W[c, p] + bw sum_c t_c W[c, p+1] + fw sum_c t_c W[c, p-1]),
+    with a stutter term only where the config models it and its source is a
+    position. It depends on the set only through the copy vectors it reads,
+    each entry 0, 1 or 2, so sets that read the same vectors at p share one
+    row (`row_positions` gives each row's position). A call computes the
+    expectation, its log, the peak density and the dropout mass once per
+    row, gathers the rows back per (position, set) and sums over positions
+    in position order. Every element goes through the floating-point
+    operations it would if each set were computed on its own, so the
+    results are those of a per-set kernel, bit for bit; the cost of the
+    transcendental work grows with the rows, not with the sets.
 
     `copies` (live sets, contributors, positions) and `log10_priors` hold
     the live sets only; `live_sets` maps them back to their index in the
@@ -315,29 +362,59 @@ class LocusEvaluator:
                 t = shift_allele(positions[j], -d)
                 if t is not None and t not in self.positions:
                     self.positions.append(t)
-        # stored as (contributors, positions, sets): a call lays its arrays out
-        # as (positions, sets, batch), so every pass runs along the batch and
-        # each block of positions is contiguous
+        # (contributors, positions, live sets)
         work = np.zeros((self.n_contrib, len(self.positions), len(self.live_sets)))
         work[:, : len(kept)] = copies[live][:, :, kept].transpose(1, 2, 0)
-        self._copies = work[..., None]
         self.copies = work.transpose(2, 0, 1)
         self.log10_priors = np.log10(np.array([weighted_sets[s].prior for s in self.live_sets]))
-
         self._n_obs = n_obs
-        self._ln_obs = np.log([p.height for p in peaks]).reshape(-1, 1, 1)
         self._ln_threshold = math.log(self.threshold)
 
         index = {a: i for i, a in enumerate(self.positions)}
 
         def pairs(shift: int):
-            """(rows, source rows) for positions whose source is a position."""
+            """(positions, source positions) for positions whose source is a position."""
             rows = [(i, index[t]) for i, a in enumerate(self.positions)
                     if (t := shift_allele(a, shift)) is not None and t in index]
             return tuple(np.array(col, dtype=int) for col in zip(*rows)) if rows else None
 
-        self._back = pairs(+1) if config.back_stutter else None
-        self._forward = pairs(-1) if config.forward_stutter else None
+        # One key per (position, set): the position, then the copy vectors
+        # its expectation reads, its own and those of each modelled stutter
+        # source (zero where the source is not a position). _distinct_rows
+        # sorts the keys, so rows come in position order, the observed
+        # positions' rows first.
+        self._stutter = (config.back_stutter, config.forward_stutter)
+        n_parts = 1 + sum(self._stutter)
+        n_c = self.n_contrib
+        n_pos, n_live = work.shape[1:]
+        own = work.transpose(1, 2, 0)  # (positions, live sets, contributors)
+        key = np.zeros((n_pos, n_live, 1 + n_parts * n_c), dtype=np.int16)
+        key[:, :, 0] = np.arange(n_pos)[:, None]
+        key[:, :, 1 : 1 + n_c] = own
+        part = 1
+        for shift, on in zip((+1, -1), self._stutter):
+            if on:
+                if (pair := pairs(shift)) is not None:
+                    targets, sources = pair
+                    key[targets, :, 1 + part * n_c : 1 + (part + 1) * n_c] = own[sources]
+                part += 1
+        rows, inverse = _distinct_rows(key.reshape(n_pos * n_live, key.shape[2]))
+        inverse = inverse.reshape(n_pos, n_live)
+        self.row_positions = rows[:, 0].astype(int)
+        n_obs_rows = int(np.searchsorted(self.row_positions, n_obs))
+        self._n_obs_rows = n_obs_rows
+        # the row of each (position, live set): observed positions index the
+        # observed rows, the others the unobserved rows
+        self._obs_index = np.ascontiguousarray(inverse[:n_obs])
+        self._unobs_index = inverse[n_obs:] - n_obs_rows
+        self._ln_obs = np.log([p.height for p in peaks])[self.row_positions[:n_obs_rows], None]
+        # (contributors, parts x rows, 1): every row's own copies, then every
+        # row's copies at each modelled stutter source; a call's passes run
+        # along the batch
+        vectors = rows[:, 1:].reshape(len(rows), n_parts, n_c)
+        self._row_copies = np.ascontiguousarray(
+            vectors.transpose(2, 1, 0).reshape(n_c, -1), dtype=float
+        )[..., None]
 
         sizes = {p.allele: p.size for p in peaks if p.size is not None}
         exponent = np.array(
@@ -345,7 +422,7 @@ class LocusEvaluator:
              for a in self.positions]
         )
         self._size_exponent = (
-            exponent.reshape(-1, 1, 1) if config.degradation and np.any(exponent) else None
+            exponent.reshape(-1, 1) if config.degradation and np.any(exponent) else None
         )
 
     def set_log10_likelihoods(
@@ -364,57 +441,58 @@ class LocusEvaluator:
         """
         templates = np.atleast_2d(np.asarray(templates, dtype=float))
         batch = templates.shape[0]
-        copies = self._copies
-        n_sets = copies.shape[2]
+        n_sets = len(self.live_sets)
         if n_sets == 0:
             return np.empty((batch, 0))
         c2, slope, bw, fw = (np.asarray(v, dtype=float).reshape(-1) for v in (c2, slope, bw, fw))
 
-        # (positions, sets, batch), accumulated in contributor order
-        allelic = copies[0] * templates[:, 0]
+        # (linear terms, batch), accumulated in contributor order
+        copies = self._row_copies
+        lin = copies[0] * templates[:, 0]
         if self.n_contrib > 1:
-            scratch = np.empty_like(allelic)
+            scratch = np.empty_like(lin)
             for c in range(1, self.n_contrib):
                 np.multiply(copies[c], templates[:, c], out=scratch)
-                allelic += scratch
+                lin += scratch
 
-        e = allelic
-        for pairs, prop in ((self._back, bw), (self._forward, fw)):
-            if pairs is not None:
-                if e is allelic:
-                    e = allelic.copy()
-                rows, sources = pairs
-                e[rows] += prop * allelic[sources]
+        # (rows, batch) expectations; a row whose stutter source is not a
+        # position adds prop * 0, which leaves it unchanged
+        n_rows = len(self.row_positions)
+        e = lin[:n_rows]
+        props = [prop for prop, on in zip((bw, fw), self._stutter) if on]
+        for j, prop in enumerate(props, 1):
+            e += prop * lin[j * n_rows : (j + 1) * n_rows]
         if self._size_exponent is not None:
-            e *= np.power(slope, self._size_exponent)
+            e *= np.power(slope, self._size_exponent).take(self.row_positions, axis=0)
 
-        n_obs = self._n_obs
+        n_obs, n_obs_rows = self._n_obs, self._n_obs_rows
         out = np.zeros((n_sets, batch))
         with np.errstate(divide="ignore", invalid="ignore"):
             if n_obs:
                 # normal log-density of x = log10(O/E) with variance c2/E:
                 # -x^2 E / (2 c2) - ln(2 pi c2) / 2 + ln(E) / 2, in natural logs
-                eo = e[:n_obs]
+                eo = e[:n_obs_rows]
                 ln_e = np.log(eo)
                 sq = self._ln_obs - ln_e
                 sq *= sq
                 sq *= eo
-                quad = sq.sum(axis=0) / c2
+                # gathered to (positions, sets, batch) and summed over positions
+                quad = sq.take(self._obs_index, axis=0).sum(axis=0) / c2
                 norm = n_obs * np.log(2 * math.pi * c2)
-                ln_e_sum = ln_e.sum(axis=0)
+                ln_e_sum = ln_e.take(self._obs_index, axis=0).sum(axis=0)
                 out += (ln_e_sum - norm - quad / (LN10 * LN10)) / (2 * LN10)
                 # an observed peak with zero expectation excludes the set
                 out[ln_e_sum == NEG_INF] = NEG_INF
-            if n_obs < len(e):
+            if n_obs_rows < n_rows:
                 # dropout mass below the threshold at unobserved positions
-                eu = e[n_obs:]
+                eu = e[n_obs_rows:]
                 z = np.log(eu)
                 np.subtract(self._ln_threshold, z, out=z)
                 z *= np.sqrt(eu)
                 z /= LN10 * np.sqrt(c2)
                 # a position with no expectation adds nothing
                 z[eu == 0] = np.inf
-                out += log_ndtr(z).sum(axis=0) / LN10
+                out += log_ndtr(z).take(self._unobs_index, axis=0).sum(axis=0) / LN10
         # row-major (batch, sets), so a row's sum over sets runs in one order
         # whatever the batch size
         return np.ascontiguousarray(out.T)

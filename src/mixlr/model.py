@@ -313,7 +313,13 @@ class ParamSpace:
         for j, name in enumerate(self.scalars, nt):
             scalars[name] = x[:, j]
         if self.box.c2 is None:
-            scalars["c2"] = np.exp(scalars["c2"])
+            # exp(log(b)) need not be b: a face of the cube decodes to its
+            # bound exactly
+            u_c2 = u[:, nt]
+            lo, hi = self.box.c2_bounds
+            scalars["c2"] = np.where(
+                u_c2 == 0.0, lo, np.where(u_c2 == 1.0, hi, np.exp(scalars["c2"]))
+            )
         return (templates, *scalars.values())
 
     def to_cube(self, params: MassParams) -> np.ndarray:

@@ -83,8 +83,9 @@ class LrRecord:
     c2_hp: Optional[float] = None
     c2_hd: Optional[float] = None
     mixprop_divergence: Optional[float] = None
-    # MLE fit diagnostics: both fits converged; parameter points the Hp and
-    # the Hd fit evaluated; either fitted c2 on a face of its box
+    # converged: both MLE fits, or both INT marginals, converged. MLE only:
+    # parameter points the Hp and the Hd fit evaluated; either fitted c2 on
+    # a face of its box
     converged: Optional[bool] = None
     function_evals: Optional[int] = None
     c2_on_face: Optional[bool] = None
@@ -207,12 +208,52 @@ def _hp_proposition(noc: int, poi: Mapping[str, Genotype]) -> Proposition:
     return Proposition(noc=noc, fixed_contributors={0: dict(poi)}, label=HP)
 
 
+def _mle_record(case_id: int, donor_label: str, res_p, res_d) -> LrRecord:
+    l = log10_lr(res_p, res_d)
+    if l == NEG_INF:
+        # structural exclusion: there is no Hp fit to diagnose
+        return LrRecord(case_id, donor_label, ENGINE_MLE, None)
+    props_p = res_p.params.mixture_proportions
+    props_d = res_d.params.mixture_proportions
+    return LrRecord(
+        case_id=case_id,
+        donor_label=donor_label,
+        engine=ENGINE_MLE,
+        log10_lr=float(l),
+        c2_hp=res_p.params.variance_c2,
+        c2_hd=res_d.params.variance_c2,
+        mixprop_divergence=max(abs(a - b) for a, b in zip(sorted(props_p), sorted(props_d))),
+        converged=res_p.converged and res_d.converged,
+        function_evals=res_p.function_evals + res_d.function_evals,
+        c2_on_face=any(f in r.faces for r in (res_p, res_d) for f in ("c2_lo", "c2_hi")),
+    )
+
+
+def _int_record(case_id: int, donor_label: str, int_p, int_d) -> LrRecord:
+    if int_p.log10_marginal == NEG_INF:
+        l = None
+    elif int_d.log10_marginal == NEG_INF:
+        l = float("inf")
+    else:
+        l = int_p.log10_marginal - int_d.log10_marginal
+    return LrRecord(
+        case_id=case_id,
+        donor_label=donor_label,
+        engine=ENGINE_INT,
+        log10_lr=l,
+        converged=int_p.converged and int_d.converged,
+    )
+
+
 def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
     """Simulate cases and score every candidate POI with every engine.
 
     Per case the Hd work (fit or marginal) is done once and shared across
-    candidates; the Hd optimum also warm-starts each Hp fit. Per-candidate
-    engine failures never abort the batch.
+    candidates; the Hd optimum also warm-starts each Hp fit. Each
+    proposition's genotype sets are enumerated and wrapped in an evaluator
+    once, and both engines score it through that evaluator. A case lists
+    its MLE records before its INT records. Per-candidate engine failures
+    never abort the batch.
     """
     records: list[LrRecord] = []
     root = np.random.SeedSequence(seed)
@@ -240,7 +281,14 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
             for _ in range(cfg.n_nondonors_per_case)
         ]
         hd = Proposition(noc=cfg.noc, label=HD)
+        hps = [_hp_proposition(cfg.noc, poi) for _, poi in candidates]
         engine_seeds = {e: s for e, s in zip(cfg.engines, eng_seq.spawn(len(cfg.engines)))}
+
+        def evaluator(prop):
+            return build_evaluator(profile, prop, cfg.table, cfg.policy, cfg.config)
+
+        # the true donor's Hp evaluator also serves the MLE Hd probe
+        ev_d, ev_donor = evaluator(hd), evaluator(hps[0])
 
         if ENGINE_MLE in cfg.engines:
             # the study's box, so the engines differ only in maximising
@@ -250,7 +298,6 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
                 n_starts=cfg.n_starts,
                 seed=int(np.random.default_rng(engine_seeds[ENGINE_MLE]).integers(2**31)),
             )
-            ev_d = build_evaluator(profile, hd, cfg.table, cfg.policy, cfg.config)
             res_d = maximize(
                 profile, hd, cfg.table, cfg.policy, cfg.config, search, evaluator=ev_d
             )
@@ -263,8 +310,8 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
                 boundary_passes=False, extra_starts=(res_d.params,),
             )
             probe = maximize(
-                profile, _hp_proposition(cfg.noc, donors[0]),
-                cfg.table, cfg.policy, cfg.config, probe_spec,
+                profile, hps[0], cfg.table, cfg.policy, cfg.config, probe_spec,
+                evaluator=ev_donor,
             )
             if probe.log10_max > NEG_INF:
                 repolish = replace(
@@ -289,36 +336,6 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
                 boundary_passes=False,
                 extra_starts=(res_d.params,),
             )
-            for donor_label, poi in candidates:
-                hp = _hp_proposition(cfg.noc, poi)
-                res_p = maximize(profile, hp, cfg.table, cfg.policy, cfg.config, warm)
-                l = log10_lr(res_p, res_d)
-                if l == NEG_INF:
-                    # structural exclusion: there is no Hp fit to diagnose
-                    records.append(
-                        LrRecord(case_id, donor_label, ENGINE_MLE, None)
-                    )
-                    continue
-                props_p = res_p.params.mixture_proportions
-                props_d = res_d.params.mixture_proportions
-                records.append(
-                    LrRecord(
-                        case_id=case_id,
-                        donor_label=donor_label,
-                        engine=ENGINE_MLE,
-                        log10_lr=float(l),
-                        c2_hp=res_p.params.variance_c2,
-                        c2_hd=res_d.params.variance_c2,
-                        mixprop_divergence=max(
-                            abs(a - b) for a, b in zip(sorted(props_p), sorted(props_d))
-                        ),
-                        converged=res_p.converged and res_d.converged,
-                        function_evals=res_p.function_evals + res_d.function_evals,
-                        c2_on_face=any(
-                            f in r.faces for r in (res_p, res_d) for f in ("c2_lo", "c2_hi")
-                        ),
-                    )
-                )
 
         if ENGINE_INT in cfg.engines:
             # every hypothesis in a case is scored on the same parameter
@@ -330,34 +347,34 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
             use_grid = ndim <= MAX_QUADRATURE_DIMS
             resolution = max(4, round(cfg.mc_samples ** (1.0 / ndim)))
 
-            def int_marginal(prop):
+            def int_marginal(prop, ev):
                 if use_grid:
                     return marginal_quadrature(
                         profile, prop, cfg.table, cfg.policy, cfg.config,
-                        cfg.prior, resolution=resolution, max_levels=1,
+                        cfg.prior, resolution=resolution, max_levels=1, evaluator=ev,
                     )
                 return marginal_monte_carlo(
                     profile, prop, cfg.table, cfg.policy, cfg.config,
-                    cfg.prior, n_samples=cfg.mc_samples, seed=mc_seed,
+                    cfg.prior, n_samples=cfg.mc_samples, seed=mc_seed, evaluator=ev,
                 )
 
-            int_d = int_marginal(hd)
-            for donor_label, poi in candidates:
-                int_p = int_marginal(_hp_proposition(cfg.noc, poi))
-                if int_p.log10_marginal == NEG_INF:
-                    l = None
-                elif int_d.log10_marginal == NEG_INF:
-                    l = float("inf")
-                else:
-                    l = int_p.log10_marginal - int_d.log10_marginal
-                records.append(
-                    LrRecord(
-                        case_id=case_id,
-                        donor_label=donor_label,
-                        engine=ENGINE_INT,
-                        log10_lr=l,
-                    )
+            int_d = int_marginal(hd, ev_d)
+
+        # one candidate's evaluator at a time, so memory does not grow with
+        # the number of candidates
+        mle_records, int_records = [], []
+        for i, ((donor_label, _), hp) in enumerate(zip(candidates, hps)):
+            ev_p = ev_donor if i == 0 else evaluator(hp)
+            if ENGINE_MLE in cfg.engines:
+                res_p = maximize(
+                    profile, hp, cfg.table, cfg.policy, cfg.config, warm, evaluator=ev_p
                 )
+                mle_records.append(_mle_record(case_id, donor_label, res_p, res_d))
+            if ENGINE_INT in cfg.engines:
+                int_records.append(
+                    _int_record(case_id, donor_label, int_marginal(hp, ev_p), int_d)
+                )
+        records += mle_records + int_records
     return records
 
 
@@ -365,10 +382,10 @@ def divergence_summary(records: Sequence[LrRecord]) -> dict:
     """Fractions, quantiles, and fitted-parameter diagnostics per engine/label.
 
     An exclusion counts in fraction_excluded and never as LR > 1; the
-    quantiles cover finite log10 LRs only. Groups whose records carry MLE
-    fit diagnostics also count the records with a fit that did not
-    converge (n_nonconverged) and with a fitted c2 on a face of its box
-    (n_c2_on_face).
+    quantiles cover finite log10 LRs only. Groups whose records say whether
+    they converged count the records whose fits or marginals did not
+    (n_nonconverged); groups of MLE records also count those with a fitted
+    c2 on a face of its box (n_c2_on_face).
     """
     out: dict = {"groups": {}, "paired": {}}
     groups: dict[tuple[str, str], list[LrRecord]] = {}
@@ -398,7 +415,9 @@ def divergence_summary(records: Sequence[LrRecord]) -> dict:
         fits = [r for r in rs if r.converged is not None]
         if fits:
             entry["n_nonconverged"] = sum(1 for r in fits if not r.converged)
-            entry["n_c2_on_face"] = sum(1 for r in fits if r.c2_on_face)
+        faces = [r for r in rs if r.c2_on_face is not None]
+        if faces:
+            entry["n_c2_on_face"] = sum(1 for r in faces if r.c2_on_face)
         divs = [r.mixprop_divergence for r in rs if r.mixprop_divergence is not None]
         if divs:
             entry["median_mixprop_divergence"] = float(np.median(divs))

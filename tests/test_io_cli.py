@@ -8,7 +8,7 @@ from mixlr import io as mio
 from mixlr.cli import EXIT_GOLDEN, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from mixlr.genotypes import FrequencyTable
 from mixlr.model import Genotype, Peak, Profile
-from mixlr.study import ENGINE_MLE, NONDONOR_RESAMPLED, LrRecord
+from mixlr.study import ENGINE_INT, ENGINE_MLE, NONDONOR_RESAMPLED, LrRecord
 from mixlr.toy import check_golden
 
 
@@ -51,6 +51,7 @@ class TestRoundTrips:
                 converged=False, function_evals=1234, c2_on_face=True,
             ),
             LrRecord(3, NONDONOR_RESAMPLED, ENGINE_MLE, 0.5, converged=True, c2_on_face=False),
+            LrRecord(3, NONDONOR_RESAMPLED, ENGINE_INT, -0.25, converged=False),
         ]
         path = tmp_path / "records.csv"
         mio.write_records_csv(path, records)
@@ -58,6 +59,8 @@ class TestRoundTrips:
         assert "EXCLUSION" in text
         back = mio.read_records_csv(path)
         assert back == records
+        stamp = json.loads((tmp_path / "records.csv.meta.json").read_text())
+        assert stamp == mio.output_metadata()
 
     def test_calibration_csv_grouping(self, tmp_path):
         path = tmp_path / "cal.csv"
@@ -97,6 +100,8 @@ class TestCli:
         assert (out / "toy_grid.csv").exists()
         report = json.loads((out / "toy_report.json").read_text())
         assert report["lattice"]["int_h2"] == pytest.approx(0.2050, abs=1e-3)
+        stamp = json.loads((out / "toy_grid.csv.meta.json").read_text())
+        assert stamp == report["metadata"]
 
     def test_toy_check_matches_library(self, capsys):
         # the CLI self-check and the library report identically
@@ -280,6 +285,9 @@ class TestCli:
         assert len(records) == 2 * 3
         summary = json.loads((out / "summary.json").read_text())
         assert "MLE/TRUE_DONOR" in summary["groups"]
+        # the CSV carries the stamp of the report beside it
+        stamp = json.loads((out / "records.csv.meta.json").read_text())
+        assert stamp == summary["metadata"] and stamp["seed"] == 3
 
         # feed the study's non-donor/donor records into the calibration audit
         cal_in = tmp_path / "cal.csv"
@@ -300,6 +308,9 @@ class TestCli:
         assert (cal_out / "plotdata_all.csv").exists()
         verdicts = json.loads((cal_out / "verdicts.json").read_text())
         assert verdicts["systems"]["all"]["n_hp"] == 2
+        for name in ("calibration_all.csv", "plotdata_all.csv"):
+            stamp = json.loads((cal_out / f"{name}.meta.json").read_text())
+            assert stamp == verdicts["metadata"]
 
     def test_empty_calibration_records_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -13,6 +13,7 @@ from mixlr.likelihood import (
     dropout_mass,
     full_likelihood,
     full_log10_likelihood,
+    locus_log_likelihood,
     log10_peak_density,
     log10sumexp,
     peak_density,
@@ -323,3 +324,96 @@ class TestPruning:
         for rows in (1, 5):
             monkeypatch.setattr(likelihood, "_CHUNK_ELEMENTS", rows * width)
             assert np.array_equal(ev.marginal_log10(batch, *args), whole)
+
+
+class TestDistinctRows:
+    """The kernel evaluates each distinct expectation row once; per set it
+    must still match the scalar oracle."""
+
+    ALLELES = ("10", "11", "12", "13")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_per_set_matches_scalar_oracle(self, data):
+        noc = data.draw(st.integers(1, 3), label="noc")
+        n_loci = data.draw(st.integers(1, 2), label="loci")
+        config = ModelConfig(
+            back_stutter=data.draw(st.booleans(), label="back"),
+            forward_stutter=data.draw(st.booleans(), label="forward"),
+            degradation=data.draw(st.booleans(), label="degradation"),
+        )
+        loci = {}
+        for i in range(n_loci):
+            seen = data.draw(
+                st.lists(st.sampled_from(self.ALLELES), min_size=1, max_size=3, unique=True)
+            )
+            loci[f"L{i}"] = [
+                Peak(a, data.draw(st.floats(60.0, 3000.0)), size=100.0 + 4 * int(a))
+                for a in seen
+            ]
+        profile = Profile(loci, 50.0)
+        table = FrequencyTable(
+            {locus: {a: 0.2 for a in self.ALLELES} for locus in loci}, n_individuals=500
+        )
+        # three contributors fix one, so the oracle has at most two unknowns
+        # to walk; the fixed one may carry alleles no peak shows
+        fixed = {}
+        if noc == 3 or data.draw(st.booleans(), label="fixed"):
+            pool = st.sampled_from(("9",) + self.ALLELES + ("14",))
+            fixed = {0: {locus: Genotype(data.draw(pool), data.draw(pool)) for locus in loci}}
+        prop = Proposition(noc=noc, fixed_contributors=fixed)
+        sets = enumerate_sets(profile, prop, table, RareAllelePolicy.five_over_2n(), config)
+
+        # a free row, a row with one template at zero, and all templates zero.
+        # The scalar oracle overflows c2/E, giving -inf or nan, where E is
+        # below about 1e-307 rfu, so a positive template or stutter
+        # proportion keeps E above that.
+        template = st.one_of(st.just(0.0), st.floats(1.0, 3000.0))
+        t = np.array([data.draw(template) for _ in range(noc)])
+        zeroed = t.copy()
+        zeroed[data.draw(st.integers(0, noc - 1))] = 0.0
+        templates = np.stack([t, zeroed, np.zeros(noc)])
+        c2 = data.draw(st.floats(2.0, 50.0))
+        slope = data.draw(st.floats(0.5, 1.0)) if config.degradation else 1.0
+        stutter = st.one_of(st.just(0.0), st.floats(1e-6, 0.3))
+        bw = data.draw(stutter) if config.back_stutter else 0.0
+        fw = data.draw(stutter) if config.forward_stutter else 0.0
+
+        ev = MixtureEvaluator(profile, sets, config)
+        for lev in ev.evaluators:
+            got = lev.set_log10_likelihoods(templates, [c2] * 3, [slope] * 3, [bw] * 3, [fw] * 3)
+            for row, per_set in zip(templates, got):
+                params = MassParams(tuple(row), c2, slope, bw, fw)
+                by_set = dict(zip(lev.live_sets, per_set))
+                for i, ws in enumerate(sets[lev.locus]):
+                    want = locus_log_likelihood(profile, ws.set, params, lev.locus)
+                    value = by_set.get(i, NEG_INF)
+                    if want == NEG_INF:
+                        assert value == NEG_INF, (ws.set, row)
+                    else:
+                        assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), (ws.set, row)
+
+    @pytest.mark.parametrize("shape, high", [((500, 5), 3), ((400, 60), 3), ((300, 2), 40)])
+    def test_distinct_rows_match_numpy_unique(self, shape, high):
+        # 60 ternary columns overflow int64 codes, so the ranks take over
+        table = np.random.default_rng(7).integers(0, high, size=shape).astype(np.int16)
+        rows, inverse = likelihood._distinct_rows(table)
+        want_rows, want_inverse = np.unique(table, axis=0, return_inverse=True)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+    def test_rows_are_bounded_by_copy_patterns(self, policy):
+        # every allele observed at one locus, three unknowns: the 1000-set Hd
+        profile = Profile(
+            {"L": [Peak("10", 900.0), Peak("11", 600.0), Peak("12", 300.0)]}, 50.0
+        )
+        table = FrequencyTable({"L": {"10": 0.33, "11": 0.33, "12": 0.32}}, n_individuals=500)
+        sets = enumerate_sets(profile, Proposition(noc=3), table, policy)
+        assert len(sets["L"]) == 1000
+        lev = MixtureEvaluator(profile, sets).evaluators[0]
+        n_pos = len(lev.positions)
+        # without stutter a row is one position's copy pattern, each
+        # contributor carrying 0, 1 or 2 copies there
+        per_position = np.bincount(lev.row_positions, minlength=n_pos)
+        assert per_position.max() <= 3**3
+        assert len(lev.row_positions) * 10 < len(lev.live_sets) * n_pos

@@ -75,6 +75,15 @@ class TestParamSpace:
         assert all(params.templates[i] == 0.0 for i in pinned)
         np.testing.assert_allclose(space.to_cube(params), u, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("bounds", [(2.0, 50.0), (4.0, 40.0), (0.3, 7.7)])
+    def test_faces_decode_to_the_bounds(self, bounds):
+        space = ParamSpace(2, EVERY_FEATURE, SearchSpec(c2_bounds=bounds))
+        u = np.full((2, space.ndim), 0.5)
+        u[:, space.axes.index("c2")] = [0.0, 1.0]
+        _, c2, *_ = space.from_cube(u)
+        assert c2[0] == bounds[0] and c2[1] == bounds[1]
+        assert space.params(u[1]).variance_c2 == bounds[1]
+
 
 class TestGridMode:
     """The lattice argmax of the toy benchmark, read off the kernel."""

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from conftest import study_table
+from mixlr import study as study_mod
 from mixlr.model import Genotype, MassParams
 from mixlr.genotypes import FrequencyTable
 from mixlr.study import (
@@ -139,6 +140,33 @@ class TestRunStudy:
         assert [(r.case_id, r.donor_label, r.log10_lr) for r in a] == [
             (r.case_id, r.donor_label, r.log10_lr) for r in b
         ]
+
+    def test_int_records_report_convergence(self):
+        records = run_study(self._config(engines=(ENGINE_MLE, ENGINE_INT)), seed=1)
+        ints = [r for r in records if r.engine == ENGINE_INT]
+        # one quadrature level cannot show convergence
+        assert ints and all(r.converged is False for r in ints)
+        groups = divergence_summary(records)["groups"]
+        for label in (TRUE_DONOR, NONDONOR_RESAMPLED):
+            g = groups[f"{ENGINE_INT}/{label}"]
+            assert g["n_nonconverged"] == g["n"]
+            assert "n_c2_on_face" not in g
+            assert "n_c2_on_face" in groups[f"{ENGINE_MLE}/{label}"]
+
+    def test_one_evaluator_per_proposition(self, monkeypatch):
+        built = []
+        real = study_mod.build_evaluator
+
+        def counting(profile, prop, *args):
+            built.append(prop)
+            return real(profile, prop, *args)
+
+        monkeypatch.setattr(study_mod, "build_evaluator", counting)
+        cfg = self._config(engines=(ENGINE_MLE, ENGINE_INT))
+        records = run_study(cfg, seed=1)
+        # per case: Hd, and the Hp of the true donor and of each non-donor
+        assert len(built) == cfg.n_cases * (2 + cfg.n_nondonors_per_case)
+        assert len({r.case_id for r in records}) == cfg.n_cases
 
     def test_true_donor_supported(self):
         records = run_study(self._config(), seed=4)
