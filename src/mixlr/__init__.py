@@ -35,7 +35,6 @@ from .mle import MleResult, MlLrReport, SearchSpec, fit_both, lr_ml, maximize
 from .integrate import (
     IntegralResult,
     PriorSpec,
-    deconvolution_weights,
     lr_int,
     marginal_monte_carlo,
     marginal_quadrature,

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .genotypes import FrequencyTable, RareAllelePolicy, enumerate_sets
-from .likelihood import NEG_INF, MixtureEvaluator, log10sumexp
+from .genotypes import FrequencyTable, RareAllelePolicy
+from .likelihood import NEG_INF, MixtureEvaluator, build_evaluator
 from .model import ModelConfig, ParamBox, ParamSpace, Profile, Proposition, tensor_grid
 
 QUADRATURE = "QUADRATURE"
@@ -55,19 +54,6 @@ class IntegralResult:
     converged: bool
     levels: int = 1
     std_error: Optional[float] = None
-
-
-def _quadrature_space(noc: int, config: ModelConfig, prior: PriorSpec,
-                      resolution: Optional[int]) -> tuple[ParamSpace, int]:
-    """The prior's cube and the initial points per axis; refuses more than
-    MAX_QUADRATURE_DIMS active dimensions."""
-    space = ParamSpace(noc, config, prior)
-    if space.ndim > MAX_QUADRATURE_DIMS:
-        raise DimensionalityError(
-            f"{space.ndim} active dimensions exceed the quadrature cap "
-            f"{MAX_QUADRATURE_DIMS}; use marginal_monte_carlo"
-        )
-    return space, resolution or _INIT_N[space.ndim]
 
 
 def _midpoint_mesh(n: int, ndim: int) -> np.ndarray:
@@ -109,10 +95,16 @@ def marginal_quadrature(
     dimensions (use marginal_monte_carlo there).
     """
     config = config or ModelConfig()
-    ev = evaluator if evaluator is not None else MixtureEvaluator(
-        profile, enumerate_sets(profile, proposition, table, policy, config), config
+    space = ParamSpace(proposition.noc, config, prior)
+    if space.ndim > MAX_QUADRATURE_DIMS:
+        raise DimensionalityError(
+            f"{space.ndim} active dimensions exceed the quadrature cap "
+            f"{MAX_QUADRATURE_DIMS}; use marginal_monte_carlo"
+        )
+    n = resolution or _INIT_N[space.ndim]
+    ev = evaluator if evaluator is not None else build_evaluator(
+        profile, proposition, table, policy, config
     )
-    space, n = _quadrature_space(proposition.noc, config, prior, resolution)
     prev = None
     converged, level = False, 0
     while True:
@@ -151,8 +143,8 @@ def marginal_monte_carlo(
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     config = config or ModelConfig()
-    ev = evaluator if evaluator is not None else MixtureEvaluator(
-        profile, enumerate_sets(profile, proposition, table, policy, config), config
+    ev = evaluator if evaluator is not None else build_evaluator(
+        profile, proposition, table, policy, config
     )
     space = ParamSpace(proposition.noc, config, prior)
     rng = np.random.default_rng(seed)
@@ -177,64 +169,3 @@ def lr_int(num: IntegralResult, den: IntegralResult) -> float:
         return float("inf")
     return 10.0 ** (num.log10_marginal - den.log10_marginal)
 
-
-def deconvolution_weights(
-    profile: Profile,
-    noc: int,
-    table: FrequencyTable,
-    policy: RareAllelePolicy,
-    config: Optional[ModelConfig] = None,
-    prior: PriorSpec = PriorSpec(),
-    resolution: Optional[int] = None,
-    max_joint_sets: int = 20000,
-) -> list[tuple[dict, float]]:
-    """Posterior weight of every joint genotype-set assignment.
-
-    weight_j is proportional to Pr(S_j) * integral of p(O|S_j, M) over the
-    prior, normalised to sum 1. Returns (assignment, weight) pairs where
-    an assignment maps locus -> GenotypeSet. The joint enumeration is the
-    Cartesian product across loci (the integral over shared M does not
-    factorise), so the count is capped.
-    """
-    config = config or ModelConfig()
-    prop = Proposition(noc=noc)
-    per_locus = enumerate_sets(profile, prop, table, policy, config)
-    loci = list(profile.loci)
-    n_joint = 1
-    for locus in loci:
-        n_joint *= len(per_locus[locus])
-    if n_joint > max_joint_sets:
-        raise ValueError(f"{n_joint} joint genotype sets exceed the cap {max_joint_sets}")
-
-    ev = MixtureEvaluator(profile, per_locus, config)
-    space, n = _quadrature_space(noc, config, prior, resolution)
-    mesh = _midpoint_mesh(n, space.ndim)
-    templates, c2, slope, bw, fw = space.from_cube(mesh)
-
-    # per-locus (nodes, enumerated sets) log10 likelihoods; a set the
-    # evaluator pruned is -inf at every node and gets weight exactly 0
-    per_ll = {}
-    for lev in ev.evaluators:
-        ll = np.full((len(mesh), lev.n_enumerated), NEG_INF)
-        ll[:, lev.live_sets] = lev.set_log10_likelihoods(templates, c2, slope, bw, fw)
-        per_ll[lev.locus] = ll
-    log_weights = np.empty(n_joint)
-    assignments: list[dict] = []
-    for j, combo in enumerate(iter_product(*(range(len(per_locus[l])) for l in loci))):
-        total = np.zeros(len(mesh))
-        log_prior = 0.0
-        assignment = {}
-        for locus, si in zip(loci, combo):
-            ws = per_locus[locus][si]
-            total = total + per_ll[locus][:, si]
-            log_prior += math.log10(ws.prior)
-            assignment[locus] = ws.set
-        log_weights[j] = log_prior + log10sumexp(total) - math.log10(len(mesh))
-        assignments.append(assignment)
-
-    if np.all(log_weights == NEG_INF):
-        raise ValueError(f"profile inexplicable at NoC={noc}: all weights are zero")
-    m = np.max(log_weights)
-    w = np.power(10.0, log_weights - m)
-    w /= w.sum()
-    return list(zip(assignments, (float(x) for x in w)))

@@ -38,13 +38,13 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .genotypes import WeightedGenotypeSet
+from .genotypes import FrequencyTable, RareAllelePolicy, WeightedGenotypeSet, enumerate_sets
 from .model import (
     GenotypeSet,
     MassParams,
     ModelConfig,
     Profile,
-    degradation_factor,
+    Proposition,
     expected_heights,
     shift_allele,
 )
@@ -82,18 +82,23 @@ def dropout_mass(expected: float, threshold: float, c2: float) -> float:
     return float(ndtr(z))
 
 
+# The log10 forms take logs before they divide, and scale by the precision
+# E/c2 rather than divide by the variance c2/E, so an expected height down
+# to the smallest subnormal gives a finite value instead of overflowing.
 def log10_peak_density(observed: float, expected: float, c2: float) -> float:
     if expected <= 0:
         return NEG_INF
-    var = c2 / expected
-    x = math.log10(observed / expected)
-    return (-x * x / (2 * var) - 0.5 * math.log(2 * math.pi * var)) / LN10
+    precision = expected / c2
+    x = math.log10(observed) - math.log10(expected)
+    return (
+        -x * x * precision / 2 - 0.5 * (math.log(2 * math.pi * c2) - math.log(expected))
+    ) / LN10
 
 
 def log10_dropout_mass(expected: float, threshold: float, c2: float) -> float:
     if expected <= 0:
         return 0.0
-    z = math.log10(threshold / expected) / math.sqrt(c2 / expected)
+    z = (math.log10(threshold) - math.log10(expected)) * math.sqrt(expected / c2)
     return float(log_ndtr(z)) / LN10
 
 
@@ -320,7 +325,6 @@ class LocusEvaluator:
         self.locus = locus
         self.threshold = profile.analytical_threshold
         self.n_contrib = len(weighted_sets[0].set)
-        self.n_enumerated = len(weighted_sets)
 
         # every allele of the enumeration, observed peaks first
         positions: list[str] = [p.allele for p in peaks]
@@ -444,7 +448,7 @@ class LocusEvaluator:
         n_sets = len(self.live_sets)
         if n_sets == 0:
             return np.empty((batch, 0))
-        c2, slope, bw, fw = (np.asarray(v, dtype=float).reshape(-1) for v in (c2, slope, bw, fw))
+        c2, slope, bw, fw = (np.asarray(v, dtype=float) for v in (c2, slope, bw, fw))
 
         # (linear terms, batch), accumulated in contributor order
         copies = self._row_copies
@@ -530,25 +534,21 @@ class MixtureEvaluator:
     ) -> np.ndarray:
         """(batch,) log10 marginal likelihood for a batch of parameter vectors.
 
-        The scalar parameters are numbers or (batch,) arrays. The batch is
-        evaluated in chunks of rows whose temporaries stay within
-        _CHUNK_ELEMENTS elements.
+        templates is (batch, n_contrib). c2, slope, bw and fw are each a
+        number, which holds for every row, or a (batch,) array. The batch
+        is evaluated in chunks of rows whose temporaries stay within
+        _CHUNK_ELEMENTS elements; a chunk takes its slice of each array.
         """
         templates = np.atleast_2d(np.asarray(templates, dtype=float))
         batch = templates.shape[0]
         if self.excluded:
             return np.full(batch, NEG_INF)
-
-        def vec(v):
-            v = np.asarray(v, dtype=float).reshape(-1)
-            return v if v.size == batch else np.broadcast_to(v, (batch,))
-
-        scalars = [vec(v) for v in (c2, slope, bw, fw)]
+        scalars = [np.asarray(v) for v in (c2, slope, bw, fw)]
         rows = max(1, _CHUNK_ELEMENTS // max(self._width, 1))
         total = np.zeros(batch)
         for lo in range(0, batch, rows):
             part = slice(lo, lo + rows)
-            args = [v[part] for v in scalars]
+            args = [v[part] if v.ndim else v for v in scalars]
             for ev in self.evaluators:
                 per_set = ev.set_log10_likelihoods(templates[part], *args)
                 total[part] += log10sumexp(ev.log10_priors + per_set, axis=-1)
@@ -565,3 +565,16 @@ class MixtureEvaluator:
                 params.fw_stutter_prop,
             )[0]
         )
+
+
+def build_evaluator(
+    profile: Profile,
+    proposition: Proposition,
+    table: FrequencyTable,
+    policy: RareAllelePolicy,
+    config: Optional[ModelConfig] = None,
+) -> MixtureEvaluator:
+    """Enumerate genotype sets for the proposition and wrap them for batch evaluation."""
+    config = config or ModelConfig()
+    sets = enumerate_sets(profile, proposition, table, policy, config)
+    return MixtureEvaluator(profile, sets, config)

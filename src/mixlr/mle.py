@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .genotypes import FrequencyTable, RareAllelePolicy, enumerate_sets
-from .likelihood import NEG_INF, MixtureEvaluator
+from .genotypes import FrequencyTable, RareAllelePolicy
+from .likelihood import NEG_INF, MixtureEvaluator, build_evaluator
 from .model import (
     MassParams,
     ModelConfig,
@@ -144,19 +144,6 @@ def _faces(space: ParamSpace, u: np.ndarray) -> tuple[str, ...]:
         elif x >= 1.0:
             faces.append(f"{name}_hi")
     return tuple(sorted(faces))
-
-
-def build_evaluator(
-    profile: Profile,
-    proposition: Proposition,
-    table: FrequencyTable,
-    policy: RareAllelePolicy,
-    config: Optional[ModelConfig] = None,
-) -> MixtureEvaluator:
-    """Enumerate genotype sets for the proposition and wrap them for batch evaluation."""
-    config = config or ModelConfig()
-    sets = enumerate_sets(profile, proposition, table, policy, config)
-    return MixtureEvaluator(profile, sets, config)
 
 
 def _run_lbfgsb(ev, space, starts, search):

@@ -25,8 +25,8 @@ from .integrate import (
     marginal_monte_carlo,
     marginal_quadrature,
 )
-from .likelihood import NEG_INF
-from .mle import SearchSpec, build_evaluator, log10_lr, maximize
+from .likelihood import NEG_INF, build_evaluator
+from .mle import SearchSpec, log10_lr, maximize
 from .model import (
     HD,
     HP,
@@ -301,29 +301,6 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
             res_d = maximize(
                 profile, hd, cfg.table, cfg.policy, cfg.config, search, evaluator=ev_d
             )
-            # every candidate's LR shares this denominator, so guard against
-            # a boundary-trapped Hd optimum: probe the profile through the
-            # true donor's Hp fit and re-polish Hd from that point, which
-            # can only raise the Hd maximum
-            probe_spec = replace(
-                search, n_starts=1, xtol=1e-4, max_iter=150 * cfg.noc,
-                boundary_passes=False, extra_starts=(res_d.params,),
-            )
-            probe = maximize(
-                profile, hps[0], cfg.table, cfg.policy, cfg.config, probe_spec,
-                evaluator=ev_donor,
-            )
-            if probe.log10_max > NEG_INF:
-                repolish = replace(
-                    search, n_starts=1, boundary_passes=False,
-                    extra_starts=(probe.params,),
-                )
-                cand_d = maximize(
-                    profile, hd, cfg.table, cfg.policy, cfg.config,
-                    repolish, evaluator=ev_d,
-                )
-                if cand_d.log10_max > res_d.log10_max:
-                    res_d = cand_d
             # per-candidate Hp fits trade tolerance for speed: the study needs
             # directional statistics, not 1e-6 optima; the Hd optimum warm-starts
             # every candidate, and the iteration budget grows with the
@@ -336,6 +313,28 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
                 boundary_passes=False,
                 extra_starts=(res_d.params,),
             )
+            # every candidate's LR shares this denominator, so guard against
+            # a boundary-trapped Hd optimum: probe the profile through the
+            # true donor's Hp fit and re-polish Hd from that point, which
+            # can only raise the Hd maximum. The probe is the donor's own
+            # fit unless Hd moves.
+            donor_fit = maximize(
+                profile, hps[0], cfg.table, cfg.policy, cfg.config, warm,
+                evaluator=ev_donor,
+            )
+            if donor_fit.log10_max > NEG_INF:
+                repolish = replace(
+                    search, n_starts=1, boundary_passes=False,
+                    extra_starts=(donor_fit.params,),
+                )
+                cand_d = maximize(
+                    profile, hd, cfg.table, cfg.policy, cfg.config,
+                    repolish, evaluator=ev_d,
+                )
+                if cand_d.log10_max > res_d.log10_max:
+                    res_d = cand_d
+                    warm = replace(warm, extra_starts=(res_d.params,))
+                    donor_fit = None
 
         if ENGINE_INT in cfg.engines:
             # every hypothesis in a case is scored on the same parameter
@@ -366,7 +365,7 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
         for i, ((donor_label, _), hp) in enumerate(zip(candidates, hps)):
             ev_p = ev_donor if i == 0 else evaluator(hp)
             if ENGINE_MLE in cfg.engines:
-                res_p = maximize(
+                res_p = donor_fit if i == 0 and donor_fit is not None else maximize(
                     profile, hp, cfg.table, cfg.policy, cfg.config, warm, evaluator=ev_p
                 )
                 mle_records.append(_mle_record(case_id, donor_label, res_p, res_d))

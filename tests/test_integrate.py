@@ -1,21 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 
 from mixlr import toy
-from mixlr.genotypes import RareAllelePolicy, enumerate_sets
+from mixlr.genotypes import RareAllelePolicy
 from mixlr.integrate import (
     DimensionalityError,
     IntegralResult,
     PriorSpec,
-    deconvolution_weights,
     lr_int,
     marginal_monte_carlo,
     marginal_quadrature,
 )
-from mixlr.likelihood import NEG_INF, log10sumexp, set_log_likelihood
-from mixlr.model import Genotype, GenotypeSet, MassParams, ModelConfig, Proposition
+from mixlr.likelihood import NEG_INF
+from mixlr.model import Genotype, ModelConfig, Proposition
 
 
 PINNED = PriorSpec(c2=12.0)
@@ -132,83 +129,3 @@ class TestLrInt:
         # integral ratio stays in the published band
         assert num.marginal > 0 and den.marginal > 0
 
-
-class TestDeconvolution:
-    def test_toy_single_contributor(self, toy_profile, toy_table, policy):
-        weights = deconvolution_weights(
-            toy_profile, 1, toy_table, policy, prior=PINNED
-        )
-        total = sum(w for _, w in weights)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        best_assignment, best_w = max(weights, key=lambda x: x[1])
-        assert best_assignment["L"] == GenotypeSet([Genotype("A", "B")])
-        # AB is the only genotype that explains both peaks
-        assert best_w == pytest.approx(1.0, abs=1e-9)
-
-    def test_two_contributor_symmetry(self, toy_profile, toy_table, policy):
-        weights = deconvolution_weights(
-            toy_profile, 2, toy_table, policy, prior=PINNED, resolution=24
-        )
-        by_set = {
-            tuple(tuple(g.alleles) for g in a["L"]): w for a, w in weights
-        }
-        aa_bb = by_set.get((("A", "A"), ("B", "B")), 0.0)
-        bb_aa = by_set.get((("B", "B"), ("A", "A")), 0.0)
-        assert aa_bb == pytest.approx(bb_aa, rel=1e-6)
-        assert aa_bb > 0
-
-    def test_pruned_sets_get_zero_weight(self, toy_profile, toy_table, policy):
-        n = 6
-        weights = deconvolution_weights(
-            toy_profile, 2, toy_table, policy, prior=PINNED, resolution=n
-        )
-        # oracle: prior times the scalar likelihood summed over the same nodes
-        sets = enumerate_sets(toy_profile, Proposition(noc=2), toy_table, policy)["L"]
-        axis = (np.arange(n) + 0.5) / n * PINNED.template_hi
-        log_w = np.array(
-            [
-                math.log10(ws.prior)
-                + log10sumexp(
-                    np.array(
-                        [
-                            set_log_likelihood(
-                                toy_profile, ws.set, MassParams((t1, t2), PINNED.c2)
-                            )
-                            for t1 in axis
-                            for t2 in axis
-                        ]
-                    )
-                )
-                for ws in sets
-            ]
-        )
-        want = np.power(10.0, log_w - log_w.max())
-        want /= want.sum()
-        assert len(weights) == len(sets)
-        assert np.any(log_w == NEG_INF)
-        for (assignment, w), ws, lw, expect in zip(weights, sets, log_w, want):
-            assert assignment["L"] == ws.set
-            if lw == NEG_INF:
-                assert w == 0.0
-            else:
-                assert w == pytest.approx(expect, rel=1e-9, abs=1e-300)
-
-    def test_joint_cap_raises(self, toy_profile, toy_table, policy):
-        with pytest.raises(ValueError):
-            deconvolution_weights(
-                toy_profile, 1, toy_table, policy, prior=PINNED, max_joint_sets=1
-            )
-
-    def test_all_excluded_raises(self, toy_table, policy):
-        # three peaks at one locus cannot come from a single contributor
-        from mixlr.genotypes import FrequencyTable
-        from mixlr.model import Peak, Profile
-
-        profile = Profile(
-            {"L": [Peak("A", 900.0), Peak("B", 800.0), Peak("C", 700.0)]}, 50.0
-        )
-        table = FrequencyTable(
-            {"L": {"A": 0.3, "B": 0.3, "C": 0.3}}, n_individuals=500
-        )
-        with pytest.raises(ValueError):
-            deconvolution_weights(profile, 1, table, policy, prior=PINNED)

@@ -318,12 +318,19 @@ class TestPruning:
         rng = np.random.default_rng(3)
         batch = rng.uniform(0.0, 2000.0, size=(37, 3))
         args = (rng.uniform(2, 50, 37), rng.uniform(0.5, 1, 37), rng.uniform(0, 0.3, 37))
+        # c2, slope and bw as numbers, and the same numbers as (batch,) arrays
+        numbers = (12.0, 0.8, 0.1)
+        arrays = tuple(np.full(len(batch), v) for v in numbers)
         width = max(lev.copies.shape[0] * lev.copies.shape[2] for lev in ev.evaluators)
         monkeypatch.setattr(likelihood, "_CHUNK_ELEMENTS", len(batch) * width)
         whole = ev.marginal_log10(batch, *args)
+        whole_numbers = ev.marginal_log10(batch, *numbers)
+        assert np.array_equal(ev.marginal_log10(batch, *arrays), whole_numbers)
         for rows in (1, 5):
             monkeypatch.setattr(likelihood, "_CHUNK_ELEMENTS", rows * width)
             assert np.array_equal(ev.marginal_log10(batch, *args), whole)
+            assert np.array_equal(ev.marginal_log10(batch, *numbers), whole_numbers)
+            assert np.array_equal(ev.marginal_log10(batch, *arrays), whole_numbers)
 
 
 class TestDistinctRows:
@@ -364,18 +371,21 @@ class TestDistinctRows:
         prop = Proposition(noc=noc, fixed_contributors=fixed)
         sets = enumerate_sets(profile, prop, table, RareAllelePolicy.five_over_2n(), config)
 
-        # a free row, a row with one template at zero, and all templates zero.
-        # The scalar oracle overflows c2/E, giving -inf or nan, where E is
-        # below about 1e-307 rfu, so a positive template or stutter
-        # proportion keeps E above that.
-        template = st.one_of(st.just(0.0), st.floats(1.0, 3000.0))
+        # a free row, a row with one template at zero, and all templates
+        # zero; templates below 1 rfu and stutter proportions below 1e-6 reach
+        # expected heights down to the smallest subnormal
+        template = st.one_of(
+            st.just(0.0), st.floats(0.0, 1.0, exclude_min=True), st.floats(1.0, 3000.0)
+        )
         t = np.array([data.draw(template) for _ in range(noc)])
         zeroed = t.copy()
         zeroed[data.draw(st.integers(0, noc - 1))] = 0.0
         templates = np.stack([t, zeroed, np.zeros(noc)])
         c2 = data.draw(st.floats(2.0, 50.0))
         slope = data.draw(st.floats(0.5, 1.0)) if config.degradation else 1.0
-        stutter = st.one_of(st.just(0.0), st.floats(1e-6, 0.3))
+        stutter = st.one_of(
+            st.just(0.0), st.floats(0.0, 1e-6, exclude_min=True), st.floats(1e-6, 0.3)
+        )
         bw = data.draw(stutter) if config.back_stutter else 0.0
         fw = data.draw(stutter) if config.forward_stutter else 0.0
 

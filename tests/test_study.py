@@ -4,7 +4,7 @@ from scipy import stats
 
 from conftest import study_table
 from mixlr import study as study_mod
-from mixlr.model import Genotype, MassParams
+from mixlr.model import HD, HP, Genotype, MassParams
 from mixlr.genotypes import FrequencyTable
 from mixlr.study import (
     ENGINE_INT,
@@ -167,6 +167,25 @@ class TestRunStudy:
         # per case: Hd, and the Hp of the true donor and of each non-donor
         assert len(built) == cfg.n_cases * (2 + cfg.n_nondonors_per_case)
         assert len({r.case_id for r in records}) == cfg.n_cases
+
+    def test_true_donor_fitted_once(self, monkeypatch):
+        fits = []
+        real = study_mod.maximize
+
+        def counting(profile, prop, *args, **kwargs):
+            res = real(profile, prop, *args, **kwargs)
+            fits.append((prop.label, res.log10_max))
+            return res
+
+        monkeypatch.setattr(study_mod, "maximize", counting)
+        cfg = self._config(n_cases=1)
+        run_study(cfg, seed=1)
+        # the Hd fit, the true donor's Hp fit that probes Hd, the Hd
+        # re-polish, then one Hp fit per non-donor. The re-polish does not
+        # raise Hd here, so the probe serves as the true donor's fit.
+        labels = [label for label, _ in fits]
+        assert labels == [HD, HP, HD] + [HP] * cfg.n_nondonors_per_case
+        assert fits[2][1] <= fits[0][1]
 
     def test_true_donor_supported(self):
         records = run_study(self._config(), seed=4)
