@@ -8,6 +8,17 @@ prior-sampling Monte Carlo for anything bigger or as a cross-check. The
 cube map is the priors' quantile function, so the prior density never
 appears explicitly and the marginal is just a mean of likelihood values.
 
+The quadrature scores each orbit of its mesh once. The unknown contributors
+are exchangeable: each has the same U[0, template_hi] template prior, and
+their genotype prior is a product over them on every ordered tuple of
+genotypes, so the integrand is unchanged when their templates are permuted.
+The midpoint mesh is symmetric too, so every mesh point whose unknown-template
+indices are a permutation of another's has the same value. The mesh keeps
+the points whose unknown-template indices do not decrease, each weighted by
+the number of points in its orbit. The weighted mean is the full-mesh midpoint
+sum, so only rounding moves; with two unknowns a level of n points per axis
+costs n(n+1)/2 evaluations where it cost n**2.
+
 Genotype sets are summed exactly inside the integrand through the same
 vectorised evaluator the MLE engine uses.
 """
@@ -16,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .genotypes import FrequencyTable, RareAllelePolicy
 from .likelihood import NEG_INF, MixtureEvaluator, build_evaluator
-from .model import ModelConfig, ParamBox, ParamSpace, Profile, Proposition, tensor_grid
+from .model import ModelConfig, ParamBox, ParamSpace, Profile, Proposition
 
 QUADRATURE = "QUADRATURE"
 MONTE_CARLO = "MONTE_CARLO"
@@ -56,14 +67,48 @@ class IntegralResult:
     std_error: Optional[float] = None
 
 
-def _midpoint_mesh(n: int, ndim: int) -> np.ndarray:
-    """(n**ndim, ndim) midpoints of the unit cube's n**ndim equal cells."""
-    return tensor_grid([(np.arange(n) + 0.5) / n] * ndim)
+def _midpoint_mesh(
+    n: int, ndim: int, exchangeable: Sequence[int] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights): one midpoint of the unit cube's n**ndim equal cells
+    per orbit under permutations of the `exchangeable` axes, weighted by the
+    orbit's size.
+
+    The representative has non-decreasing cell indices along the exchangeable
+    axes; its orbit holds k!/prod(run length!) points for k such axes, where
+    the runs are its groups of equal indices. With at most one exchangeable
+    axis this is the full mesh, last axis varying fastest, with unit weights.
+    """
+    # one axis at a time, each row branches into the indices it may take on
+    # the next axis: from the last exchangeable index on an exchangeable
+    # axis, from 0 on any other
+    idx = np.zeros((1, 0), dtype=np.intp)
+    prev = None  # the last exchangeable axis placed
+    for axis in range(ndim):
+        folded = axis in exchangeable and prev is not None
+        lo = idx[:, prev] if folded else np.zeros(len(idx), dtype=np.intp)
+        counts = n - lo
+        parent = np.repeat(np.arange(len(idx)), counts)
+        col = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        idx = np.column_stack([idx[parent], col])
+        if axis in exchangeable:
+            prev = axis
+    # prod(run length!) is the product, over the exchangeable indices, of
+    # each one's position within its run
+    ex = idx[:, sorted(exchangeable)]
+    run = np.ones(len(idx))
+    runs = np.ones(len(idx))
+    for j in range(1, ex.shape[1]):
+        run = np.where(ex[:, j] == ex[:, j - 1], run + 1.0, 1.0)
+        runs *= run
+    return (idx + 0.5) / n, math.factorial(len(exchangeable)) / runs
 
 
-def _mean_of_log10(lls: np.ndarray) -> tuple[float, float, float]:
-    """(mean, log10 mean, standard error of the mean) of 10**lls, stabilised
-    against underflow."""
+def _mean_of_log10(
+    lls: np.ndarray, weights: Optional[np.ndarray] = None
+) -> tuple[float, float, float]:
+    """(mean, log10 mean, standard error of the mean) of 10**lls, each term
+    counted `weights` times (once by default), stabilised against underflow."""
     m = float(np.max(lls))
     if m == NEG_INF:
         return 0.0, NEG_INF, 0.0
@@ -71,8 +116,11 @@ def _mean_of_log10(lls: np.ndarray) -> tuple[float, float, float]:
     # a term to 1e-300 of the largest, which is 1, moves the mean by less
     # than 1e-300, far below the mean's own rounding error (it is >= 1/n)
     scaled = np.power(10.0, np.maximum(lls - m, -300.0))
-    mean = float(np.mean(scaled))
-    se = float(np.std(scaled, ddof=1)) / math.sqrt(len(scaled)) if len(scaled) > 1 else 0.0
+    w = np.ones(len(scaled)) if weights is None else weights
+    count = float(np.sum(w))
+    mean = float(np.sum(w * scaled)) / count
+    var = float(np.sum(w * (scaled - mean) ** 2)) / (count - 1) if count > 1 else 0.0
+    se = math.sqrt(var) / math.sqrt(count)
     return 10.0**m * mean, m + math.log10(mean), 10.0**m * se
 
 
@@ -92,7 +140,9 @@ def marginal_quadrature(
 
     Refines by doubling every axis until the relative change drops below
     rtol or the level cap. Refuses more than MAX_QUADRATURE_DIMS active
-    dimensions (use marginal_monte_carlo there).
+    dimensions (use marginal_monte_carlo there). Each level is the full-mesh
+    midpoint sum, evaluated once per orbit of the unknown contributors'
+    template axes (see the module docstring).
     """
     config = config or ModelConfig()
     space = ParamSpace(proposition.noc, config, prior)
@@ -105,12 +155,15 @@ def marginal_quadrature(
     ev = evaluator if evaluator is not None else build_evaluator(
         profile, proposition, table, policy, config
     )
+    # INT pins no template, so template i is cube axis i
+    unknown = proposition.unknown_indices
     prev = None
     converged, level = False, 0
     while True:
         level += 1
-        lls = ev.marginal_log10(*space.from_cube(_midpoint_mesh(n, space.ndim)))
-        value, log10_value, _ = _mean_of_log10(lls)
+        points, weights = _midpoint_mesh(n, space.ndim, unknown)
+        lls = ev.marginal_log10(*space.from_cube(points))
+        value, log10_value, _ = _mean_of_log10(lls, weights)
         if prev is not None and abs(value - prev) <= rtol * max(abs(value), 1e-300):
             converged = True
         if converged or level >= max_levels:

@@ -54,6 +54,11 @@ _FD_STEP = 1e-6
 # objective makes it back off by a usable factor, where a huge one would
 # shrink its next step to nothing and end the run at its start.
 _EXCLUDED_SCALE = 1e3
+# A re-polished optimum replaces the one it was started from only when its
+# log10 likelihood is higher by more than this. A smaller rise is rounding
+# in the objective, yet taking it would re-run every fit warm-started from
+# the old optimum.
+POLISH_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -348,13 +353,13 @@ def fit_both(
                 profile, hp, table, policy, config,
                 replace(polish, extra_starts=(res_d.params,)), evaluator=ev_p,
             )
-            if cand.log10_max > res_p.log10_max + 1e-12:
+            if cand.log10_max > res_p.log10_max + POLISH_MARGIN:
                 res_p, improved = cand, True
             cand = maximize(
                 profile, hd, table, policy, config,
                 replace(polish, extra_starts=(res_p.params,)), evaluator=ev_d,
             )
-            if cand.log10_max > res_d.log10_max + 1e-12:
+            if cand.log10_max > res_d.log10_max + POLISH_MARGIN:
                 res_d, improved = cand, True
             if not improved:
                 break

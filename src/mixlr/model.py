@@ -344,12 +344,6 @@ class ParamSpace:
         return MassParams(tuple(templates[0]), c2, slope, bw, fw)
 
 
-def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """(prod of axis lengths, len(axes)) points of the tensor product of axes,
-    the last axis varying fastest."""
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-
 def degradation_factor(slope: float, size: Optional[float]) -> float:
     """Exponential length-dependent amplification decay, neutral at slope 1.
 

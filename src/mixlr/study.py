@@ -26,7 +26,7 @@ from .integrate import (
     marginal_quadrature,
 )
 from .likelihood import NEG_INF, build_evaluator
-from .mle import SearchSpec, log10_lr, maximize
+from .mle import POLISH_MARGIN, SearchSpec, log10_lr, maximize
 from .model import (
     HD,
     HP,
@@ -331,16 +331,17 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
                     profile, hd, cfg.table, cfg.policy, cfg.config,
                     repolish, evaluator=ev_d,
                 )
-                if cand_d.log10_max > res_d.log10_max:
+                if cand_d.log10_max > res_d.log10_max + POLISH_MARGIN:
                     res_d = cand_d
                     warm = replace(warm, extra_starts=(res_d.params,))
                     donor_fit = None
 
         if ENGINE_INT in cfg.engines:
-            # every hypothesis in a case is scored on the same parameter
-            # points, so estimator error largely cancels in the ratio:
-            # a shared deterministic midpoint grid when the prior is
-            # low-dimensional, common-random-number sampling otherwise
+            # every hypothesis in a case is scored by the same estimator, so
+            # its error largely cancels in the ratio: the same full-mesh
+            # midpoint sum when the prior is low-dimensional (each side
+            # evaluates one point per orbit of its unknowns, which leaves
+            # the sum unchanged), common-random-number sampling otherwise
             ndim = ParamSpace(cfg.noc, cfg.config, cfg.prior).ndim
             mc_seed = int(np.random.default_rng(engine_seeds[ENGINE_INT]).integers(2**31))
             use_grid = ndim <= MAX_QUADRATURE_DIMS

@@ -1,9 +1,11 @@
 """The benchmark's span tracer (bench/spans.py) finds mixlr's entry points by
 name. A rename or deletion there would only show when the benchmark runs
 with tracing on, so these tests resolve every name and trace one small
-kernel call."""
+kernel call. The runner's own self-test (bench/selftest.py) runs here too."""
 
 import importlib
+import io
+import unittest
 from pathlib import Path
 
 import numpy as np
@@ -43,3 +45,15 @@ def test_traced_kernel_call(spans, toy_profile, toy_table, policy, toy_hd):
     assert tracer.count["likelihood.calls"] == 1
     assert tracer.count["likelihood.build_calls"] == 2
     assert tracer.count["genotypes.enumerate_calls"] == 2
+
+
+def test_bench_selftest_passes(monkeypatch):
+    # bench/selftest.py checks the runner's arithmetic and that its metric
+    # names match BENCHMARK.json
+    monkeypatch.syspath_prepend(str(BENCH))
+    suite = unittest.defaultTestLoader.loadTestsFromModule(
+        importlib.import_module("selftest")
+    )
+    result = unittest.TextTestRunner(stream=io.StringIO()).run(suite)
+    assert result.testsRun > 0
+    assert result.wasSuccessful(), result.failures + result.errors

@@ -1,18 +1,22 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from mixlr import toy
-from mixlr.genotypes import RareAllelePolicy
+from mixlr.genotypes import FrequencyTable, RareAllelePolicy
 from mixlr.integrate import (
     DimensionalityError,
     IntegralResult,
     PriorSpec,
+    _midpoint_mesh,
     lr_int,
     marginal_monte_carlo,
     marginal_quadrature,
 )
-from mixlr.likelihood import NEG_INF
-from mixlr.model import Genotype, ModelConfig, Proposition
+from mixlr.likelihood import NEG_INF, build_evaluator
+from mixlr.model import Genotype, ModelConfig, ParamSpace, Peak, Profile, Proposition
 
 
 PINNED = PriorSpec(c2=12.0)
@@ -73,6 +77,101 @@ class TestQuadrature:
             toy_profile, toy_hd, toy_table, policy, prior=PINNED, resolution=64
         )
         assert a.marginal == b.marginal
+
+
+# three peaks at one locus with numeric alleles, so back stutter has sources
+MIX_PROFILE = Profile(
+    {"L0": [Peak("10", 300.0), Peak("11", 900.0), Peak("12", 600.0)]},
+    analytical_threshold=50.0,
+)
+MIX_TABLE = FrequencyTable({"L0": {"10": 0.3, "11": 0.3, "12": 0.3}}, n_individuals=500)
+
+
+class _CountingEvaluator:
+    """Delegates to an evaluator and records the batch of every call."""
+
+    def __init__(self, ev):
+        self.ev = ev
+        self.batches = []
+
+    def marginal_log10(self, templates, *args):
+        self.batches.append(len(templates))
+        return self.ev.marginal_log10(templates, *args)
+
+
+class TestOrbitMesh:
+    @pytest.mark.parametrize(
+        "n, ndim, exchangeable",
+        [
+            (5, 2, (0, 1)),  # two unknowns
+            (4, 4, (0, 1, 2)),  # three unknowns and a c2 axis
+            (4, 3, (1, 2)),  # a fixed contributor and two unknowns
+            (3, 4, (0, 2)),  # exchangeable axes that are not adjacent
+        ],
+    )
+    def test_weights_are_orbit_sizes(self, n, ndim, exchangeable):
+        points, weights = _midpoint_mesh(n, ndim, exchangeable)
+        cells = np.rint(points * n - 0.5).astype(int)
+        np.testing.assert_array_equal((cells + 0.5) / n, points)
+        # brute force: key every cell of the full mesh by its sorted
+        # exchangeable indices and count the cells per key
+        ex = list(exchangeable)
+        orbits = Counter()
+        for cell in itertools.product(range(n), repeat=ndim):
+            key = np.array(cell)
+            key[ex] = np.sort(key[ex])
+            orbits[tuple(key)] += 1
+        assert sorted(map(tuple, cells)) == sorted(orbits)
+        for cell, w in zip(map(tuple, cells), weights):
+            assert w == orbits[cell]
+        assert weights.sum() == n**ndim
+
+    def test_without_an_orbit_is_the_full_mesh(self):
+        full, ones = _midpoint_mesh(3, 3)
+        cells = np.array(list(itertools.product(range(3), repeat=3)))
+        np.testing.assert_array_equal(full, (cells + 0.5) / 3)
+        assert (ones == 1.0).all()
+        points, weights = _midpoint_mesh(3, 3, (1,))
+        np.testing.assert_array_equal(points, full)
+        np.testing.assert_array_equal(weights, ones)
+
+    @pytest.mark.parametrize(
+        "proposition, config, prior, n",
+        [
+            (Proposition(noc=2), ModelConfig(), PriorSpec(c2=12.0, template_hi=3000.0), 8),
+            (Proposition(noc=3), ModelConfig(), PriorSpec(template_hi=3000.0), 4),
+            (
+                Proposition(noc=3, fixed_contributors={0: {"L0": Genotype("10", "11")}}),
+                ModelConfig(back_stutter=True),
+                PriorSpec(c2=12.0, template_hi=3000.0),
+                4,
+            ),
+        ],
+        ids=["hd-2-unknowns-c2-pinned", "hd-3-unknowns-c2-free", "hp-2-unknowns-stutter"],
+    )
+    def test_equals_the_full_mesh_mean(self, policy, proposition, config, prior, n):
+        ev = build_evaluator(MIX_PROFILE, proposition, MIX_TABLE, policy, config)
+        space = ParamSpace(proposition.noc, config, prior)
+        full, _ = _midpoint_mesh(n, space.ndim)
+        lls = ev.marginal_log10(*space.from_cube(full))
+        m = float(np.max(lls))
+        want = 10.0**m * float(np.mean(10.0 ** (lls - m)))
+        res = marginal_quadrature(
+            MIX_PROFILE, proposition, MIX_TABLE, policy, config, prior,
+            resolution=n, max_levels=1, evaluator=ev,
+        )
+        assert want > 0
+        assert res.marginal == pytest.approx(want, rel=1e-12)
+
+    def test_two_unknowns_score_one_point_per_orbit(self, policy):
+        hd = Proposition(noc=2)
+        ev = _CountingEvaluator(build_evaluator(MIX_PROFILE, hd, MIX_TABLE, policy))
+        res = marginal_quadrature(
+            MIX_PROFILE, hd, MIX_TABLE, policy, prior=PriorSpec(c2=12.0),
+            resolution=4, rtol=0.0, max_levels=3, evaluator=ev,
+        )
+        assert res.levels == 3
+        assert ev.batches == [n * (n + 1) // 2 for n in (4, 8, 16)]
 
 
 class TestMonteCarlo:

@@ -26,7 +26,6 @@ from mixlr.model import (
     Peak,
     Profile,
     Proposition,
-    tensor_grid,
 )
 
 EVERY_FEATURE = ModelConfig(back_stutter=True, forward_stutter=True, degradation=True)
@@ -35,7 +34,7 @@ EVERY_FEATURE = ModelConfig(back_stutter=True, forward_stutter=True, degradation
 def lattice_argmax(profile, table, policy, prop, lattices):
     """(templates, log10 likelihood) of the kernel's maximum over a lattice
     of templates at c2 = 12."""
-    mesh = tensor_grid(lattices)
+    mesh = np.stack([m.ravel() for m in np.meshgrid(*lattices, indexing="ij")], axis=-1)
     ev = build_evaluator(profile, prop, table, policy, ModelConfig())
     ll = ev.marginal_log10(mesh, 12.0)
     i = int(np.argmax(ll))
