@@ -99,23 +99,26 @@ def calibrate(
 ) -> dict:
     """Build the full calibration table from (log10 LR, label) records.
 
-    log10 LR None encodes an exclusion (LR = 0); by default exclusions
-    are reported as counts outside the table (there is no bin for -inf),
-    or folded into the lowest occupied bin under the LOWEST policy. Bin
+    log10 LR None encodes an exclusion (LR = 0); every other log10 LR must
+    be finite. By default exclusions are reported as counts outside the
+    table (there is no bin for -inf), or folded into the lowest occupied bin
+    under the LOWEST policy. Bin
     edges are multiples of bin_width. A bin MISSes when its binomial
     interval does not intersect the expected posterior band.
     """
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     if exclusion_policy not in (EXCLUSIONS_EXCLUDED, EXCLUSIONS_LOWEST):
         raise ValueError(f"unknown exclusion policy {exclusion_policy!r}")
     n_hp = sum(1 for _, label in records if label == HP_LABEL)
     n_ha = sum(1 for _, label in records if label == HA_LABEL)
     if n_hp == 0 or n_ha == 0:
         raise ValueError("calibration needs at least one record of each label")
-    for _, label in records:
+    for l, label in records:
         if label not in (HP_LABEL, HA_LABEL):
             raise ValueError(f"unknown label {label!r}")
+        if l is not None and not math.isfinite(l):
+            raise ValueError(f"log10 LR must be finite or an exclusion, got {l}")
 
     finite = [(l, label) for l, label in records if l is not None]
     excluded = {

@@ -18,7 +18,7 @@ from dataclasses import asdict, fields
 
 from . import io as mio
 from . import toy
-from .calibration import calibrate
+from .calibration import calibrate, logit
 from .genotypes import RareAllelePolicy
 from .integrate import PriorSpec, lr_int, marginal_quadrature
 from .mle import SearchSpec, fit_both, table3_report
@@ -220,8 +220,6 @@ def _cmd_calibrate(args) -> int:
         with open(plot_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["bin_center", "logit_observed", "logit_p_lo", "logit_p_hi"])
-            from .calibration import logit
-
             for b in result["bins"]:
                 if b.observed is None or not 0 < b.observed < 1:
                     continue

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .genotypes import FrequencyTable, RareAllelePolicy
-from .likelihood import NEG_INF, MixtureEvaluator, build_evaluator
+from .likelihood import NEG_INF, MixtureEvaluator, build_evaluator, log10_ratio
 from .model import ModelConfig, ParamBox, ParamSpace, Profile, Proposition
 
 QUADRATURE = "QUADRATURE"
@@ -216,9 +216,5 @@ def marginal_monte_carlo(
 
 def lr_int(num: IntegralResult, den: IntegralResult) -> float:
     """Ratio of marginal likelihoods, with 0 and infinity propagated."""
-    if num.log10_marginal == NEG_INF:
-        return 0.0
-    if den.log10_marginal == NEG_INF:
-        return float("inf")
-    return 10.0 ** (num.log10_marginal - den.log10_marginal)
+    return 10.0 ** log10_ratio(num.log10_marginal, den.log10_marginal)
 

@@ -13,16 +13,18 @@ then zero, and the degradation factor is always > 0. Its likelihood is
 -inf everywhere, so dropping it at construction changes no result; a
 locus with no live set excludes every point.
 
-Within a locus the batch evaluator does its transcendental work (log,
-density, dropout log_ndtr) once per distinct expectation row, not once per
-(position, set). A set's expected height at a position depends on the set
-only through the copies each contributor carries there and at the
-position's modelled stutter sources, each 0, 1 or 2, so without stutter a
-position has at most 3**NoC rows however many sets the locus enumerates.
-The row terms are gathered back per set and summed over positions in
-position order. Each element goes through the same floating-point
-operations as it would in a kernel over every set, so sharing rows changes
-no result, bit for bit.
+Within a locus the batch evaluator computes each distinct expectation row's
+complete log10 term once, not once per (position, set): the peak
+log-density on a row at an observed position, the dropout log-mass on any
+other. A set's expected height at a position depends on the set only
+through the copies each contributor carries there and at the position's
+modelled stutter sources, each 0, 1 or 2, so without stutter a position
+has at most 3**NoC rows however many sets the locus enumerates. The terms
+form one (rows, batch) table; one gather takes each set's rows, which are
+summed over positions in position order. Each element goes through the
+same floating-point operations as it would in a kernel that scores every
+set on its own and sums its position terms, so sharing rows changes no
+result, bit for bit.
 
 The density is the normal law of log10(O/E) with mean 0 and variance
 c2/E, taken in log-ratio space (no Jacobian back to height space); allelic
@@ -51,6 +53,19 @@ from .model import (
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
+
+
+def log10_ratio(num: float, den: float) -> float:
+    """log10 of a likelihood ratio from the log10 numerator and denominator.
+
+    A -inf numerator is an exclusion (-inf) whatever the denominator; a
+    -inf denominator under a possible numerator gives +inf.
+    """
+    if num == NEG_INF:
+        return NEG_INF
+    if den == NEG_INF:
+        return math.inf
+    return num - den
 
 
 def peak_density(observed: float, expected: float, c2: float) -> float:
@@ -135,7 +150,6 @@ def locus_log_likelihood(
     genotype_set: GenotypeSet,
     params: MassParams,
     locus: str,
-    sizes: Optional[Mapping[str, float]] = None,
 ) -> float:
     """log10 Pr(peaks at one locus | genotype set, mass parameters).
 
@@ -146,8 +160,7 @@ def locus_log_likelihood(
     peaks = profile.peaks(locus)
     observed = {p.allele: p for p in peaks}
     universe = position_universe(genotype_set, list(observed), params)
-    if sizes is None:
-        sizes = {p.allele: p.size for p in peaks if p.size is not None}
+    sizes = {p.allele: p.size for p in peaks if p.size is not None}
     expected = expected_heights(genotype_set, params, locus, universe, sizes)
 
     total = 0.0
@@ -300,13 +313,16 @@ class LocusEvaluator:
     with a stutter term only where the config models it and its source is a
     position. It depends on the set only through the copy vectors it reads,
     each entry 0, 1 or 2, so sets that read the same vectors at p share one
-    row (`row_positions` gives each row's position). A call computes the
-    expectation, its log, the peak density and the dropout mass once per
-    row, gathers the rows back per (position, set) and sums over positions
-    in position order. Every element goes through the floating-point
-    operations it would if each set were computed on its own, so the
-    results are those of a per-set kernel, bit for bit; the cost of the
-    transcendental work grows with the rows, not with the sets.
+    row (`row_positions` gives each row's position). A call computes each
+    row's complete log10 term into one (rows, batch) table: the peak
+    log-density on a row at an observed position (-inf where the expectation
+    is 0) and the dropout log-mass on any other (0 where it is 0). One
+    gather then takes the row of each (position, set), and the terms are
+    summed over positions in position order. Every element goes through the
+    floating-point operations it would if each set were computed on its own
+    and its position terms summed, so the results are those of such a
+    per-set kernel, bit for bit; the cost of the transcendental work grows
+    with the rows, not with the sets.
 
     `copies` (live sets, contributors, positions) and `log10_priors` hold
     the live sets only; `live_sets` maps them back to their index in the
@@ -371,7 +387,6 @@ class LocusEvaluator:
         work[:, : len(kept)] = copies[live][:, :, kept].transpose(1, 2, 0)
         self.copies = work.transpose(2, 0, 1)
         self.log10_priors = np.log10(np.array([weighted_sets[s].prior for s in self.live_sets]))
-        self._n_obs = n_obs
         self._ln_threshold = math.log(self.threshold)
 
         index = {a: i for i, a in enumerate(self.positions)}
@@ -403,18 +418,15 @@ class LocusEvaluator:
                     key[targets, :, 1 + part * n_c : 1 + (part + 1) * n_c] = own[sources]
                 part += 1
         rows, inverse = _distinct_rows(key.reshape(n_pos * n_live, key.shape[2]))
-        inverse = inverse.reshape(n_pos, n_live)
+        # the row of each (position, live set)
+        self._row_index = inverse.reshape(n_pos, n_live)
         self.row_positions = rows[:, 0].astype(int)
-        n_obs_rows = int(np.searchsorted(self.row_positions, n_obs))
-        self._n_obs_rows = n_obs_rows
-        # the row of each (position, live set): observed positions index the
-        # observed rows, the others the unobserved rows
-        self._obs_index = np.ascontiguousarray(inverse[:n_obs])
-        self._unobs_index = inverse[n_obs:] - n_obs_rows
-        self._ln_obs = np.log([p.height for p in peaks])[self.row_positions[:n_obs_rows], None]
+        self._n_obs_rows = int(np.searchsorted(self.row_positions, n_obs))
+        self._ln_obs = np.log([p.height for p in peaks])[
+            self.row_positions[: self._n_obs_rows], None
+        ]
         # (contributors, parts x rows, 1): every row's own copies, then every
-        # row's copies at each modelled stutter source; a call's passes run
-        # along the batch
+        # row's copies at each modelled stutter source
         vectors = rows[:, 1:].reshape(len(rows), n_parts, n_c)
         self._row_copies = np.ascontiguousarray(
             vectors.transpose(2, 1, 0).reshape(n_c, -1), dtype=float
@@ -444,20 +456,15 @@ class LocusEvaluator:
         disables are not used.
         """
         templates = np.atleast_2d(np.asarray(templates, dtype=float))
-        batch = templates.shape[0]
-        n_sets = len(self.live_sets)
-        if n_sets == 0:
-            return np.empty((batch, 0))
         c2, slope, bw, fw = (np.asarray(v, dtype=float) for v in (c2, slope, bw, fw))
 
-        # (linear terms, batch), accumulated in contributor order
+        # (linear terms, batch), summed in contributor order: a sum of three
+        # or more templates rounds by its order, and a BLAS matrix product
+        # changes that order with the batch size
         copies = self._row_copies
         lin = copies[0] * templates[:, 0]
-        if self.n_contrib > 1:
-            scratch = np.empty_like(lin)
-            for c in range(1, self.n_contrib):
-                np.multiply(copies[c], templates[:, c], out=scratch)
-                lin += scratch
+        for c in range(1, self.n_contrib):
+            lin += copies[c] * templates[:, c]
 
         # (rows, batch) expectations; a row whose stutter source is not a
         # position adds prop * 0, which leaves it unchanged
@@ -469,37 +476,38 @@ class LocusEvaluator:
         if self._size_exponent is not None:
             e *= np.power(slope, self._size_exponent).take(self.row_positions, axis=0)
 
-        n_obs, n_obs_rows = self._n_obs, self._n_obs_rows
-        out = np.zeros((n_sets, batch))
+        # (rows, batch) log10 terms: the peak density on the observed rows,
+        # the dropout mass on the others
+        n_obs_rows = self._n_obs_rows
+        term = np.empty_like(e)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if n_obs:
-                # normal log-density of x = log10(O/E) with variance c2/E:
-                # -x^2 E / (2 c2) - ln(2 pi c2) / 2 + ln(E) / 2, in natural logs
-                eo = e[:n_obs_rows]
-                ln_e = np.log(eo)
-                sq = self._ln_obs - ln_e
-                sq *= sq
-                sq *= eo
-                # gathered to (positions, sets, batch) and summed over positions
-                quad = sq.take(self._obs_index, axis=0).sum(axis=0) / c2
-                norm = n_obs * np.log(2 * math.pi * c2)
-                ln_e_sum = ln_e.take(self._obs_index, axis=0).sum(axis=0)
-                out += (ln_e_sum - norm - quad / (LN10 * LN10)) / (2 * LN10)
-                # an observed peak with zero expectation excludes the set
-                out[ln_e_sum == NEG_INF] = NEG_INF
-            if n_obs_rows < n_rows:
-                # dropout mass below the threshold at unobserved positions
-                eu = e[n_obs_rows:]
-                z = np.log(eu)
-                np.subtract(self._ln_threshold, z, out=z)
-                z *= np.sqrt(eu)
-                z /= LN10 * np.sqrt(c2)
-                # a position with no expectation adds nothing
-                z[eu == 0] = np.inf
-                out += log_ndtr(z).take(self._unobs_index, axis=0).sum(axis=0) / LN10
-        # row-major (batch, sets), so a row's sum over sets runs in one order
-        # whatever the batch size
-        return np.ascontiguousarray(out.T)
+            # normal log-density of x = log10(O/E) with variance c2/E:
+            # -x^2 E / (2 c2) - ln(2 pi c2) / 2 + ln(E) / 2, in natural logs
+            eo, obs = e[:n_obs_rows], term[:n_obs_rows]
+            np.log(eo, out=obs)
+            sq = self._ln_obs - obs
+            sq *= sq
+            sq *= eo
+            sq /= c2 * (LN10 * LN10)
+            obs -= np.log(2 * math.pi * c2)
+            obs -= sq
+            obs /= 2 * LN10
+            # an observed peak with zero expectation excludes its set
+            obs[eo == 0] = NEG_INF
+            # dropout mass below the threshold at unobserved positions
+            eu, z = e[n_obs_rows:], term[n_obs_rows:]
+            np.log(eu, out=z)
+            np.subtract(self._ln_threshold, z, out=z)
+            z *= np.sqrt(eu)
+            z /= LN10 * np.sqrt(c2)
+            # a position with no expectation adds nothing
+            z[eu == 0] = np.inf
+            log_ndtr(z, out=z)
+            z /= LN10
+        # gathered to (positions, sets, batch) and summed over positions in
+        # position order; row-major (batch, sets), so a row's sum over sets
+        # runs in one order whatever the batch size
+        return np.ascontiguousarray(term.take(self._row_index, axis=0).sum(axis=0).T)
 
 
 class MixtureEvaluator:

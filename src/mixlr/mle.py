@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .genotypes import FrequencyTable, RareAllelePolicy
-from .likelihood import NEG_INF, MixtureEvaluator, build_evaluator
+from .likelihood import NEG_INF, MixtureEvaluator, build_evaluator, log10_ratio
 from .model import (
     MassParams,
     ModelConfig,
@@ -280,11 +280,7 @@ def lr_ml(num: MleResult, den: MleResult) -> float:
 
 
 def log10_lr(num: MleResult, den: MleResult) -> float:
-    if num.log10_max == NEG_INF:
-        return NEG_INF
-    if den.log10_max == NEG_INF:
-        return float("inf")
-    return num.log10_max - den.log10_max
+    return log10_ratio(num.log10_max, den.log10_max)
 
 
 def lr_from_log10(l: float) -> float:

@@ -58,10 +58,10 @@ class Peak:
             raise ValueError("empty allele label")
         if self.allele == Q_ALLELE:
             raise ValueError("the reserved allele 'Q' cannot be observed")
-        if not self.height > 0:
-            raise ValueError(f"peak height must be positive, got {self.height}")
-        if self.size is not None and not self.size > 0:
-            raise ValueError(f"fragment size must be positive, got {self.size}")
+        if not 0 < self.height < math.inf:
+            raise ValueError(f"peak height must be positive and finite, got {self.height}")
+        if self.size is not None and not 0 < self.size < math.inf:
+            raise ValueError(f"fragment size must be positive and finite, got {self.size}")
 
 
 class Profile:
@@ -251,8 +251,12 @@ class ParamBox:
     stutter_hi: float = 0.3
 
     def __post_init__(self):
-        if not self.template_hi > 0:
-            raise ValueError("template_hi must be > 0")
+        if not 0 < self.template_hi < math.inf:
+            raise ValueError(f"template_hi must be positive and finite, got {self.template_hi}")
+        if self.c2 is not None and not 0 < self.c2 < math.inf:
+            raise ValueError(f"a pinned c2 must be positive and finite, got {self.c2}")
+        if not 0 < self.stutter_hi <= 0.3:
+            raise ValueError(f"stutter_hi must be in (0, 0.3], got {self.stutter_hi}")
         for lo, hi in (self.c2_bounds, self.slope_bounds):
             if not (0 < lo < hi and math.isfinite(hi)):
                 raise ValueError("box bounds must be finite and ordered")

@@ -25,7 +25,7 @@ from .integrate import (
     marginal_monte_carlo,
     marginal_quadrature,
 )
-from .likelihood import NEG_INF, build_evaluator
+from .likelihood import NEG_INF, build_evaluator, log10_ratio
 from .mle import POLISH_MARGIN, SearchSpec, log10_lr, maximize
 from .model import (
     HD,
@@ -230,17 +230,12 @@ def _mle_record(case_id: int, donor_label: str, res_p, res_d) -> LrRecord:
 
 
 def _int_record(case_id: int, donor_label: str, int_p, int_d) -> LrRecord:
-    if int_p.log10_marginal == NEG_INF:
-        l = None
-    elif int_d.log10_marginal == NEG_INF:
-        l = float("inf")
-    else:
-        l = int_p.log10_marginal - int_d.log10_marginal
+    l = log10_ratio(int_p.log10_marginal, int_d.log10_marginal)
     return LrRecord(
         case_id=case_id,
         donor_label=donor_label,
         engine=ENGINE_INT,
-        log10_lr=l,
+        log10_lr=None if l == NEG_INF else l,
         converged=int_p.converged and int_d.converged,
     )
 
@@ -252,8 +247,9 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
     candidates; the Hd optimum also warm-starts each Hp fit. Each
     proposition's genotype sets are enumerated and wrapped in an evaluator
     once, and both engines score it through that evaluator. A case lists
-    its MLE records before its INT records. Per-candidate engine failures
-    never abort the batch.
+    its MLE records before its INT records. An exception from either
+    engine propagates and ends the study; a structural exclusion is not a
+    failure but a record with no LR.
     """
     records: list[LrRecord] = []
     root = np.random.SeedSequence(seed)

@@ -123,6 +123,16 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate([(0.1, HP_LABEL), (0.2, HA_LABEL)], bin_width=0.0)
 
+    @pytest.mark.parametrize("l", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lr_is_rejected(self, l):
+        with pytest.raises(ValueError, match=str(l)):
+            calibrate([(0.1, HP_LABEL), (l, HA_LABEL), (0.2, HA_LABEL)])
+
+    @pytest.mark.parametrize("width", [math.inf, math.nan])
+    def test_non_finite_bin_width_is_rejected(self, width):
+        with pytest.raises(ValueError, match=str(width)):
+            calibrate([(0.1, HP_LABEL), (0.2, HA_LABEL)], bin_width=width)
+
     def test_well_calibrated_generator_has_no_misses(self):
         # scores drawn from the model that the posterior mapping assumes:
         # log10 LR ~ N(+mu, s) under Hp and N(-mu, s) under Ha with equal

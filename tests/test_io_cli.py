@@ -229,6 +229,7 @@ class TestCli:
             ({"prior": {"template_max": 3000.0}}, "template_max"),
             ({"prior": {"c2_bounds": [50.0, 2.0]}}, "bounds"),
             ({"noc": "1"}, "study config"),
+            ({"prior": {"c2": -1}}, "pinned c2"),
         ],
     )
     def test_study_bad_config_is_validation_error(self, tmp_path, extra, key, capsys):
@@ -317,3 +318,21 @@ class TestCli:
         path.write_text("log10_lr,label\n")
         code = main(["calibrate", "--records", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "lr, extra, shown",
+        [
+            ("inf", [], "inf"),
+            ("nan", [], "nan"),
+            ("0.5", ["--binwidth", "inf"], "inf"),
+            ("0.5", ["--binwidth", "nan"], "nan"),
+        ],
+    )
+    def test_non_finite_calibration_value_is_validation_error(
+        self, tmp_path, lr, extra, shown, capsys
+    ):
+        path = tmp_path / "cal.csv"
+        path.write_text(f"log10_lr,label\n1.0,HP\n{lr},HA\n")
+        code = main(["calibrate", "--records", str(path), "--out", str(tmp_path / "o"), *extra])
+        assert code == EXIT_VALIDATION
+        assert f"got {shown}" in capsys.readouterr().err

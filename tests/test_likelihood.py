@@ -266,6 +266,18 @@ class TestPruning:
             assert full_log10_likelihood(profile, sets, params) == NEG_INF
             assert ev.marginal_log10_params(params) == NEG_INF
 
+    def test_locus_with_no_live_set_has_no_columns(self, toy_profile, toy_table, policy):
+        # a BB POI leaves the A peak unexplained, so its one set is dead
+        prop = Proposition(noc=1, fixed_contributors={0: {"L": Genotype("B", "B")}})
+        lev = MixtureEvaluator(
+            toy_profile, enumerate_sets(toy_profile, prop, toy_table, policy)
+        ).evaluators[0]
+        assert len(lev.live_sets) == 0
+        for batch in (1, 3):
+            templates = np.full((batch, 1), 1000.0)
+            per_set = lev.set_log10_likelihoods(templates, 12.0, 1.0, 0.0, 0.0)
+            assert per_set.shape == (batch, 0)
+
     def test_peak_covered_only_by_forward_stutter_stays_live(self, policy):
         # 12,12 explains the 13 peak only as forward stutter out of 12
         profile = Profile({"L": [Peak("12", 800.0), Peak("13", 60.0)]}, 50.0)
@@ -331,6 +343,19 @@ class TestPruning:
             assert np.array_equal(ev.marginal_log10(batch, *args), whole)
             assert np.array_equal(ev.marginal_log10(batch, *numbers), whole_numbers)
             assert np.array_equal(ev.marginal_log10(batch, *arrays), whole_numbers)
+
+    def test_batch_size_changes_no_bit_at_four_contributors(self, policy):
+        # a row's expectation can sum four templates, and a sum of more than
+        # two terms rounds by the order it is taken in
+        profile = Profile({"L": [Peak("A", 900.0), Peak("B", 400.0)]}, 50.0)
+        table = FrequencyTable({"L": {"A": 0.5, "B": 0.4}}, n_individuals=500)
+        sets = enumerate_sets(profile, Proposition(noc=4), table, policy)
+        lev = MixtureEvaluator(profile, sets).evaluators[0]
+        templates = np.random.default_rng(11).uniform(0.0, 2000.0, size=(64, 4))
+        whole = lev.set_log10_likelihoods(templates, 12.0, 1.0, 0.0, 0.0)
+        for i in range(len(templates)):
+            one = lev.set_log10_likelihoods(templates[i : i + 1], 12.0, 1.0, 0.0, 0.0)
+            assert np.array_equal(one, whole[i : i + 1]), i
 
 
 class TestDistinctRows:

@@ -8,6 +8,7 @@ from mixlr.model import (
     GenotypeSet,
     MassParams,
     ModelConfig,
+    ParamBox,
     Peak,
     Profile,
     Proposition,
@@ -36,6 +37,31 @@ class TestValidation:
     def test_peak_rejects_nonpositive_height(self):
         with pytest.raises(ValueError):
             Peak("A", 0.0)
+
+    @pytest.mark.parametrize(
+        "height, size", [(math.inf, None), (math.nan, None), (100.0, math.inf), (100.0, math.nan)]
+    )
+    def test_peak_rejects_non_finite_values(self, height, size):
+        with pytest.raises(ValueError, match="finite"):
+            Peak("A", height, size)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            {"c2": -1.0},
+            {"c2": 0.0},
+            {"c2": math.nan},
+            {"c2": math.inf},
+            {"stutter_hi": 0.0},
+            {"stutter_hi": 0.31},
+            {"stutter_hi": math.nan},
+            {"template_hi": math.inf},
+            {"template_hi": math.nan},
+        ],
+    )
+    def test_param_box_rejects_bad_values(self, box):
+        with pytest.raises(ValueError, match=next(iter(box))):
+            ParamBox(**box)
 
     def test_peak_rejects_q(self):
         with pytest.raises(ValueError):
