@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 HP_LABEL = "HP"
 HA_LABEL = "HA"
 
-EXCLUSIONS_EXCLUDED = "EXCLUDED"  # reported count, no bin (default)
-EXCLUSIONS_LOWEST = "LOWEST"  # folded into the lowest bin
+LEVEL = 0.95  # coverage of each bin's Clopper-Pearson interval
 
 
 @dataclass(frozen=True)
@@ -69,15 +68,15 @@ def observed_frequency(count_hp: int, count_ha: int) -> Optional[float]:
     return count_hp / n
 
 
-def frequency_interval(count_hp: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact (Clopper-Pearson) binomial interval for the bin frequency."""
+def frequency_interval(count_hp: int, n: int) -> tuple[float, float]:
+    """Exact (Clopper-Pearson) 95% binomial interval for the bin frequency."""
     if n < 1:
         raise ValueError("need at least one observation")
     if not 0 <= count_hp <= n:
         raise ValueError("count out of range")
-    alpha = 1.0 - level
-    lo = 0.0 if count_hp == 0 else float(beta.ppf(alpha / 2, count_hp, n - count_hp + 1))
-    hi = 1.0 if count_hp == n else float(beta.ppf(1 - alpha / 2, count_hp + 1, n - count_hp))
+    alpha = 1.0 - LEVEL
+    lo = 0.0 if count_hp == 0 else float(betaincinv(count_hp, n - count_hp + 1, alpha / 2))
+    hi = 1.0 if count_hp == n else float(betaincinv(count_hp + 1, n - count_hp, 1 - alpha / 2))
     return lo, hi
 
 
@@ -94,22 +93,17 @@ def inverse_logit(x: float) -> float:
 def calibrate(
     records: Sequence[tuple[Optional[float], str]],
     bin_width: float = 1.0,
-    level: float = 0.95,
-    exclusion_policy: str = EXCLUSIONS_EXCLUDED,
 ) -> dict:
     """Build the full calibration table from (log10 LR, label) records.
 
     log10 LR None encodes an exclusion (LR = 0); every other log10 LR must
-    be finite. By default exclusions are reported as counts outside the
-    table (there is no bin for -inf), or folded into the lowest occupied bin
-    under the LOWEST policy. Bin
-    edges are multiples of bin_width. A bin MISSes when its binomial
-    interval does not intersect the expected posterior band.
+    be finite. Exclusions are reported as counts outside the table (there
+    is no bin for -inf). Bin edges are multiples of bin_width. A bin MISSes
+    when its 95% Clopper-Pearson interval does not intersect the expected
+    posterior band.
     """
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin width must be positive and finite, got {bin_width}")
-    if exclusion_policy not in (EXCLUSIONS_EXCLUDED, EXCLUSIONS_LOWEST):
-        raise ValueError(f"unknown exclusion policy {exclusion_policy!r}")
     n_hp = sum(1 for _, label in records if label == HP_LABEL)
     n_ha = sum(1 for _, label in records if label == HA_LABEL)
     if n_hp == 0 or n_ha == 0:
@@ -133,10 +127,6 @@ def calibrate(
     counts: dict[int, list[int]] = {i: [0, 0] for i in range(lo_edge, hi_edge + 1)}
     for l, label in finite:
         counts[math.floor(l / bin_width)][0 if label == HP_LABEL else 1] += 1
-    if exclusion_policy == EXCLUSIONS_LOWEST:
-        counts[lo_edge][0] += excluded[HP_LABEL]
-        counts[lo_edge][1] += excluded[HA_LABEL]
-        excluded = {HP_LABEL: 0, HA_LABEL: 0}
 
     bins: list[CalibrationBin] = []
     for i in sorted(counts):
@@ -149,7 +139,7 @@ def calibrate(
                 CalibrationBin(a, b, 0, 0, p_lo, p_hi, None, None, None, verdict="EMPTY")
             )
             continue
-        ci_lo, ci_hi = frequency_interval(c_hp, c_hp + c_ha, level)
+        ci_lo, ci_hi = frequency_interval(c_hp, c_hp + c_ha)
         miss = ci_hi < p_lo or ci_lo > p_hi
         bins.append(
             CalibrationBin(
@@ -163,7 +153,7 @@ def calibrate(
         "n_ha": n_ha,
         "prior_odds": n_hp / n_ha,
         "excluded_counts": excluded,
-        "level": level,
+        "level": LEVEL,
         "interval_method": "clopper-pearson",
         "n_miss": sum(1 for b in bins if b.verdict == "MISS"),
     }

@@ -240,7 +240,6 @@ def enumerate_sets(
     table: FrequencyTable,
     policy: RareAllelePolicy,
     config: Optional[ModelConfig] = None,
-    loci: Optional[Sequence[str]] = None,
 ) -> dict[str, list[WeightedGenotypeSet]]:
     """Per-locus genotype-set enumeration for a proposition.
 
@@ -248,9 +247,7 @@ def enumerate_sets(
     so the enumeration is kept per locus rather than materialising the
     cross-locus Cartesian product.
     """
-    if loci is None:
-        loci = tuple(profile.loci)
     return {
         locus: enumerate_locus_sets(profile, proposition, table, policy, locus, config)
-        for locus in loci
+        for locus in profile.loci
     }

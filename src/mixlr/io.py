@@ -92,18 +92,17 @@ def write_profile_csv(path: str, profile: Profile) -> None:
                 w.writerow([locus, p.allele, repr(p.height), "" if p.size is None else p.size])
 
 
-def read_frequency_table(path: str, meta_path: Optional[str] = None) -> FrequencyTable:
+def read_frequency_table(path: str) -> FrequencyTable:
     """Frequency table from CSV (locus, allele, frequency) plus sidecar JSON.
 
-    The sidecar (default: <path>.meta.json) holds n_individuals and
-    optionally per-locus n_allele_classes.
+    The sidecar <path>.meta.json holds n_individuals and optionally
+    per-locus n_allele_classes.
     """
     freqs: dict[str, dict[str, float]] = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             freqs.setdefault(row["locus"], {})[row["allele"].strip()] = float(row["frequency"])
-    meta_path = meta_path or f"{path}.meta.json"
-    with open(meta_path) as fh:
+    with open(f"{path}.meta.json") as fh:
         meta = json.load(fh)
     return FrequencyTable(
         freqs,
@@ -112,14 +111,14 @@ def read_frequency_table(path: str, meta_path: Optional[str] = None) -> Frequenc
     )
 
 
-def write_frequency_table(path: str, table: FrequencyTable, meta_path: Optional[str] = None):
+def write_frequency_table(path: str, table: FrequencyTable):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["locus", "allele", "frequency"])
         for locus, freqs in table.frequencies.items():
             for allele, f in freqs.items():
                 w.writerow([locus, allele, repr(f)])
-    with open(meta_path or f"{path}.meta.json", "w") as fh:
+    with open(f"{path}.meta.json", "w") as fh:
         json.dump(
             {
                 "n_individuals": table.n_individuals,

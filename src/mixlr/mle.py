@@ -16,10 +16,11 @@ reached exactly and reported in `MleResult.faces`.
 Because the model is discontinuous at template = 0 (a contributor with
 exactly zero template drops out of the likelihood entirely, while an
 arbitrarily small template still pays per-position dropout mass), a free
-template axis stops at a small positive floor, and the search additionally
-runs boundary passes with each proper subset of templates pinned to
-exactly zero. That makes the fit of a nesting hypothesis provably at
-least as good as any nested one supplied as a warm start.
+template axis stops at a small positive floor, and the search runs face by
+face: a face pins a set of templates to exactly zero. Boundary passes
+search every proper face, and a warm start is searched in the face its
+zero templates define. That makes the fit of a nesting hypothesis provably
+at least as good as any nested one supplied as a warm start.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .model import (
 )
 
 # Lower bound of a free template axis in the cube. Exactly 0 is the jump
-# the boundary passes handle, and the corner where every template is 0
+# the faces of `maximize` handle, and the corner where every template is 0
 # explains no peak (log10 likelihood -inf).
 _TEMPLATE_FLOOR = 1e-6
 # Finite-difference step on each cube axis.
@@ -76,7 +77,7 @@ class SearchSpec(ParamBox):
     seed: int = 0
     max_iter: int = 500
     xtol: float = 1e-6
-    # warm starts in natural parameter space; zero templates allowed
+    # warm starts in natural parameter space; a zero template pins its face
     extra_starts: tuple[MassParams, ...] = ()
     boundary_passes: bool = True
 
@@ -213,47 +214,51 @@ def maximize(
 ) -> MleResult:
     """Maximise the genotype-marginalised likelihood under one proposition.
 
-    Deterministic given the seed. Returns the best of: multi-start
-    L-BFGS-B runs over the full space, boundary passes with template
-    subsets pinned to zero, and any warm starts (evaluated raw and then
-    polished), so a warm start can never be beaten downward.
+    Deterministic given the seed. The search runs face by face, where a
+    face is a tuple of templates pinned to exactly 0: the interior () from
+    n_starts stratified starts; with boundary_passes, every proper face
+    from max(2, n_starts // 4) stratified starts; and the face of each warm
+    start in extra_starts. Each face runs L-BFGS-B once, from its
+    stratified starts plus the warm starts whose zero templates define it;
+    a face that pins every template has nothing to search. Every warm start
+    is also scored as it stands, so a warm start can never be beaten
+    downward. converged is the interior run's.
     """
     config = config or ModelConfig()
     ev = evaluator if evaluator is not None else build_evaluator(
         profile, proposition, table, policy, config
     )
     rng = np.random.default_rng(search.seed)
-    space = ParamSpace(proposition.noc, config, search)
-    starts = list(_stratified_starts(space, search.n_starts, rng))
-    warm_by_pin: dict[frozenset, list[MassParams]] = {}
+    noc = proposition.noc
+    n_strat = {(): search.n_starts}
+    if search.boundary_passes:
+        n_boundary = max(2, search.n_starts // 4)
+        for size in range(1, noc):
+            n_strat.update((pin, n_boundary) for pin in combinations(range(noc), size))
+    warm_by_face: dict[tuple, list[MassParams]] = {}
     best_ll, best_params, best_faces = NEG_INF, None, ()
     for w in search.extra_starts:
-        zeros = frozenset(i for i, t in enumerate(w.templates) if t == 0.0)
-        warm_by_pin.setdefault(zeros, []).append(w)
+        face = tuple(i for i, t in enumerate(w.templates) if t == 0.0)
+        warm_by_face.setdefault(face, []).append(w)
         ll = ev.marginal_log10_params(w)
         if ll > best_ll:
-            sub = ParamSpace(proposition.noc, config, search, pinned=zeros)
+            sub = ParamSpace(noc, config, search, pinned=face)
             best_ll, best_params, best_faces = ll, w, _faces(sub, sub.to_cube(w))
-    for w in warm_by_pin.get(frozenset(), ()):
-        starts.append(space.to_cube(w))
 
-    ll, u, iters, evals, converged = _run_lbfgsb(ev, space, starts, search)
-    if ll > best_ll:
-        best_ll, best_params, best_faces = ll, space.params(u), _faces(space, u)
-
-    if search.boundary_passes and proposition.noc > 1:
-        n_sub = max(2, search.n_starts // 4)
-        for size in range(1, proposition.noc):
-            for pin in combinations(range(proposition.noc), size):
-                sub = ParamSpace(proposition.noc, config, search, pinned=pin)
-                sub_starts = list(_stratified_starts(sub, n_sub, rng))
-                for w in warm_by_pin.get(frozenset(pin), ()):
-                    sub_starts.append(sub.to_cube(w))
-                ll, u, it2, ev2, _ = _run_lbfgsb(ev, sub, sub_starts, search)
-                iters += it2
-                evals += ev2
-                if ll > best_ll:
-                    best_ll, best_params, best_faces = ll, sub.params(u), _faces(sub, u)
+    iters = evals = 0
+    for face in [*n_strat, *(f for f in warm_by_face if f not in n_strat)]:
+        if len(face) == noc:
+            continue
+        sub = ParamSpace(noc, config, search, pinned=face)
+        starts = list(_stratified_starts(sub, n_strat.get(face, 0), rng))
+        starts += [sub.to_cube(w) for w in warm_by_face.get(face, ())]
+        ll, u, it, ev_count, ok = _run_lbfgsb(ev, sub, starts, search)
+        iters += it
+        evals += ev_count
+        if face == ():
+            converged = ok
+        if ll > best_ll:
+            best_ll, best_params, best_faces = ll, sub.params(u), _faces(sub, u)
 
     if best_params is None:
         # every start and pass stayed at -inf: structural exclusion
@@ -272,6 +277,25 @@ def maximize(
         function_evals=evals,
         faces=best_faces,
     )
+
+
+def polish(
+    best: MleResult, start: MassParams, profile: Profile, proposition: Proposition,
+    table: FrequencyTable, policy: RareAllelePolicy, config: ModelConfig,
+    search: SearchSpec, evaluator: MixtureEvaluator,
+) -> MleResult:
+    """The fit from `start` alone if it beats `best` by more than
+    POLISH_MARGIN, else `best` itself.
+
+    The fit is `maximize` with one stratified start, no boundary passes and
+    `start` as its only warm start, which runs in its own face.
+    """
+    cand = maximize(
+        profile, proposition, table, policy, config,
+        replace(search, n_starts=1, boundary_passes=False, extra_starts=(start,)),
+        evaluator=evaluator,
+    )
+    return cand if cand.log10_max > best.log10_max + POLISH_MARGIN else best
 
 
 def lr_ml(num: MleResult, den: MleResult) -> float:
@@ -342,23 +366,12 @@ def fit_both(
 
     same_space = hp.noc == hd.noc
     if same_space:
-        polish = replace(search, n_starts=1, boundary_passes=False)
         for _ in range(4):
-            improved = False
-            cand = maximize(
-                profile, hp, table, policy, config,
-                replace(polish, extra_starts=(res_d.params,)), evaluator=ev_p,
-            )
-            if cand.log10_max > res_p.log10_max + POLISH_MARGIN:
-                res_p, improved = cand, True
-            cand = maximize(
-                profile, hd, table, policy, config,
-                replace(polish, extra_starts=(res_p.params,)), evaluator=ev_d,
-            )
-            if cand.log10_max > res_d.log10_max + POLISH_MARGIN:
-                res_d, improved = cand, True
-            if not improved:
+            new_p = polish(res_p, res_d.params, profile, hp, table, policy, config, search, ev_p)
+            new_d = polish(res_d, new_p.params, profile, hd, table, policy, config, search, ev_d)
+            if new_p is res_p and new_d is res_d:
                 break
+            res_p, res_d = new_p, new_d
 
     l = log10_lr(res_p, res_d)
     lo = hi = None

@@ -26,7 +26,7 @@ from .integrate import (
     marginal_quadrature,
 )
 from .likelihood import NEG_INF, build_evaluator, log10_ratio
-from .mle import POLISH_MARGIN, SearchSpec, log10_lr, maximize
+from .mle import SearchSpec, log10_lr, maximize, polish
 from .model import (
     HD,
     HP,
@@ -131,12 +131,10 @@ def _locus_sampler(table: FrequencyTable, locus: str):
     return alleles, p
 
 
-def sample_genotypes(
-    table: FrequencyTable, rng: np.random.Generator, loci: Optional[Sequence[str]] = None
-) -> dict[str, Genotype]:
+def sample_genotypes(table: FrequencyTable, rng: np.random.Generator) -> dict[str, Genotype]:
     """One multi-locus genotype drawn from the frequency table."""
     out = {}
-    for locus in loci if loci is not None else table.loci():
+    for locus in table.loci():
         alleles, p = _locus_sampler(table, locus)
         pair = rng.choice(len(alleles), size=2, p=p)
         out[locus] = Genotype(alleles[pair[0]], alleles[pair[1]])
@@ -182,7 +180,6 @@ def gen_nondonor(
     table: FrequencyTable,
     true_donors: Sequence[Mapping[str, Genotype]],
     rng: np.random.Generator,
-    loci: Optional[Sequence[str]] = None,
 ) -> dict[str, Genotype]:
     """A non-donor genotype: database-random, or resampled from donor alleles.
 
@@ -191,13 +188,13 @@ def gen_nondonor(
     allele-sharing rate.
     """
     if mode == RANDOM:
-        return sample_genotypes(table, rng, loci)
+        return sample_genotypes(table, rng)
     if mode != RESAMPLED:
         raise ValueError(f"unknown non-donor mode {mode!r}")
     if not true_donors:
         raise ValueError("RESAMPLED needs true donor genotypes")
     out = {}
-    for locus in loci if loci is not None else table.loci():
+    for locus in table.loci():
         pool = [a for g in true_donors for a in g[locus].alleles]
         pair = rng.choice(len(pool), size=2)
         out[locus] = Genotype(pool[pair[0]], pool[pair[1]])
@@ -319,16 +316,12 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
                 evaluator=ev_donor,
             )
             if donor_fit.log10_max > NEG_INF:
-                repolish = replace(
-                    search, n_starts=1, boundary_passes=False,
-                    extra_starts=(donor_fit.params,),
+                polished = polish(
+                    res_d, donor_fit.params, profile, hd, cfg.table, cfg.policy,
+                    cfg.config, search, ev_d,
                 )
-                cand_d = maximize(
-                    profile, hd, cfg.table, cfg.policy, cfg.config,
-                    repolish, evaluator=ev_d,
-                )
-                if cand_d.log10_max > res_d.log10_max + POLISH_MARGIN:
-                    res_d = cand_d
+                if polished is not res_d:
+                    res_d = polished
                     warm = replace(warm, extra_starts=(res_d.params,))
                     donor_fit = None
 

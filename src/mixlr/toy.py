@@ -11,7 +11,7 @@ priors and re-maximises off-lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class ToyReport:
     lr_int: float
     argmax_h1: tuple[float, float] = (0.0, 0.0)
     argmax_h2: float = 0.0
-    notes: dict = field(default_factory=dict)
 
 
 def lattice_report() -> ToyReport:
@@ -98,23 +97,25 @@ def lattice_report() -> ToyReport:
     )
 
 
-def _refine_1d(lo: float, hi: float, rtol: float = 1e-6, max_level: int = 16) -> float:
-    """Midpoint-rule integral of the one-contributor density over [lo, hi]."""
+def _refine_1d(lo: float, hi: float) -> float:
+    """Midpoint-rule integral of the one-contributor density over [lo, hi],
+    doubled until it changes by at most 1e-6 relative, or 16 levels."""
     prev = None
     n = 64
-    for _ in range(max_level):
+    for _ in range(16):
         h = (hi - lo) / n
         t = lo + h * (np.arange(n) + 0.5)
         val = float(_density_grid(t, np.array([0.0]))[:, 0].sum() * h)
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
+        if prev is not None and abs(val - prev) <= 1e-6 * max(abs(val), 1e-300):
             return val
         prev = val
         n *= 2
     return prev
 
 
-def _refine_2d(rtol: float = 1e-4, max_level: int = 8) -> float:
-    """Midpoint-rule double integral over [0, 30000]^2, refined by doubling.
+def _refine_2d() -> float:
+    """Midpoint-rule double integral over [0, 30000]^2, doubled until it
+    changes by at most 1e-4 relative, or 8 levels.
 
     The support is concentrated at small templates, so the box splits into
     a dense inner panel covering the support and a coarse outer remainder
@@ -131,11 +132,11 @@ def _refine_2d(rtol: float = 1e-4, max_level: int = 8) -> float:
 
     prev = None
     n = 256
-    for _ in range(max_level):
+    for _ in range(8):
         val = panel(0.0, inner, 0.0, inner, n, n)
         val += panel(inner, PRIOR_HI, 0.0, PRIOR_HI, 64, 64)
         val += panel(0.0, inner, inner, PRIOR_HI, 64, 64)
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
+        if prev is not None and abs(val - prev) <= 1e-4 * max(abs(val), 1e-300):
             return val
         prev = val
         n *= 2

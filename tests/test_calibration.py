@@ -1,12 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import beta
 
+import mixlr
 from mixlr.calibration import (
-    EXCLUSIONS_EXCLUDED,
-    EXCLUSIONS_LOWEST,
     HA_LABEL,
     HP_LABEL,
     calibrate,
@@ -69,6 +72,26 @@ class TestFrequencies:
         lo, hi = frequency_interval(2, 20)
         assert lo < 0.1 < hi
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 101, 399])
+    def test_clopper_pearson_is_the_beta_quantile(self, n):
+        # the endpoints are beta quantiles, to the bit
+        alpha = 1.0 - 0.95
+        for count in range(n + 1):
+            lo, hi = frequency_interval(count, n)
+            want_lo = 0.0 if count == 0 else beta.ppf(alpha / 2, count, n - count + 1)
+            want_hi = 1.0 if count == n else beta.ppf(1 - alpha / 2, count + 1, n - count)
+            assert (lo, hi) == (want_lo, want_hi)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(mixlr.__file__))
+        code = "import sys, mixlr; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             frequency_interval(1, 0)
@@ -89,6 +112,7 @@ class TestCalibrate:
         assert binned + sum(out["excluded_counts"].values()) == len(records)
         assert out["excluded_counts"][HA_LABEL] == 1
         assert out["n_hp"] == 2 and out["n_ha"] == 2
+        assert out["level"] == 0.95
 
     def test_bin_edges_floor_aligned(self):
         out = calibrate([(1.2, HP_LABEL), (-0.4, HA_LABEL)], bin_width=1.0)
@@ -96,12 +120,6 @@ class TestCalibrate:
             (-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)
         ]
         assert out["bins"][1].verdict == "EMPTY"
-
-    def test_lowest_policy_folds_exclusions(self):
-        records = [(1.2, HP_LABEL), (-0.4, HA_LABEL), (None, HA_LABEL)]
-        out = calibrate(records, exclusion_policy=EXCLUSIONS_LOWEST)
-        assert out["excluded_counts"] == {HP_LABEL: 0, HA_LABEL: 0}
-        assert out["bins"][0].count_ha == 2
 
     def test_miss_detection(self):
         # many Hp-true results in a strongly Ha-favouring bin: the binomial

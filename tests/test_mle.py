@@ -144,6 +144,24 @@ class TestContinuousMode:
         )
         assert res.log10_max >= warm_ll
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_warm_start_is_polished_in_its_face(self, policy, seed):
+        # one peak: a second contributor only costs dropout mass, so the
+        # two-contributor optimum is the one-contributor one padded with 0.
+        # A warm start on that face, short of its optimum, must be polished
+        # there even without boundary passes.
+        profile = Profile({"L": [Peak("A", 1000.0)]}, 50.0)
+        table = FrequencyTable({"L": {"A": 0.3, "B": 0.3, "C": 0.4}}, n_individuals=500)
+        one = maximize(profile, Proposition(noc=1), table, policy, search=SearchSpec(c2=12.0))
+        warm = MassParams((0.7 * one.params.templates[0], 0.0), 12.0)
+        two = maximize(
+            profile, Proposition(noc=2), table, policy,
+            search=SearchSpec(
+                c2=12.0, n_starts=1, seed=seed, boundary_passes=False, extra_starts=(warm,)
+            ),
+        )
+        assert two.log10_max == pytest.approx(one.log10_max, abs=1e-9)
+
     def test_structural_exclusion(self, toy_profile, toy_table, policy):
         # a fixed CC contributor cannot explain either observed peak
         prop = Proposition(noc=1, fixed_contributors={0: {"L": Genotype("C", "C")}})

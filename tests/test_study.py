@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from conftest import study_table
-from mixlr import study as study_mod
+from mixlr import mle as mle_mod, study as study_mod
 from mixlr.model import HD, HP, Genotype, MassParams
 from mixlr.genotypes import FrequencyTable
 from mixlr.study import (
@@ -177,7 +177,9 @@ class TestRunStudy:
             fits.append((prop.label, res.log10_max))
             return res
 
+        # the Hd re-polish calls maximize through mixlr.mle
         monkeypatch.setattr(study_mod, "maximize", counting)
+        monkeypatch.setattr(mle_mod, "maximize", counting)
         cfg = self._config(n_cases=1)
         run_study(cfg, seed=1)
         # the Hd fit, the true donor's Hp fit that probes Hd, the Hd
