@@ -21,6 +21,7 @@ from . import toy
 from .calibration import calibrate, logit
 from .genotypes import RareAllelePolicy
 from .integrate import PriorSpec, lr_int, marginal_quadrature
+from .likelihood import log10_ratio
 from .mle import SearchSpec, fit_both, table3_report
 from .model import HD, HP, ModelConfig, Proposition
 from .study import StudyConfig, divergence_summary, run_study
@@ -143,11 +144,15 @@ def _cmd_lr(args) -> int:
         num = marginal_quadrature(profile, hp, table, policy, config, prior)
         den = marginal_quadrature(profile, hd, table, policy, config, prior)
         ratio = lr_int(num, den)
-        out["int"] = {"lr_int": ratio}
+        out["int"] = {
+            "lr_int": ratio,
+            "log10_lr_int": log10_ratio(num.log10_marginal, den.log10_marginal),
+        }
         for tag, res in (("hp", num), ("hd", den)):
             out["int"].update(
                 {
                     f"marginal_{tag}": res.marginal,
+                    f"log10_marginal_{tag}": res.log10_marginal,
                     f"converged_{tag}": res.converged,
                     f"levels_{tag}": res.levels,
                     f"resolution_{tag}": res.resolution,

@@ -32,7 +32,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .genotypes import FrequencyTable, RareAllelePolicy
-from .likelihood import NEG_INF, MixtureEvaluator, build_evaluator, log10_ratio
+from .likelihood import (
+    NEG_INF,
+    MixtureEvaluator,
+    build_evaluator,
+    log10_ratio,
+    lr_from_log10,
+)
 from .model import ModelConfig, ParamBox, ParamSpace, Profile, Proposition
 
 QUADRATURE = "QUADRATURE"
@@ -216,5 +222,5 @@ def marginal_monte_carlo(
 
 def lr_int(num: IntegralResult, den: IntegralResult) -> float:
     """Ratio of marginal likelihoods, with 0 and infinity propagated."""
-    return 10.0 ** log10_ratio(num.log10_marginal, den.log10_marginal)
+    return lr_from_log10(log10_ratio(num.log10_marginal, den.log10_marginal))
 

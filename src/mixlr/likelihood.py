@@ -21,10 +21,18 @@ through the copies each contributor carries there and at the position's
 modelled stutter sources, each 0, 1 or 2, so without stutter a position
 has at most 3**NoC rows however many sets the locus enumerates. The terms
 form one (rows, batch) table; one gather takes each set's rows, which are
-summed over positions in position order. Each element goes through the
-same floating-point operations as it would in a kernel that scores every
-set on its own and sums its position terms, so sharing rows changes no
-result, bit for bit.
+added one position at a time in position order. Each element goes through
+the same floating-point operations as it would in a kernel that scores
+every set on its own and sums its position terms, so sharing rows changes
+no result, bit for bit.
+
+The per-set sums stay a (sets, batch) block, so the steps over the batch
+run along its long contiguous axis; the locus evaluator returns the block
+as its (batch, sets) transposed view. The marginal adds the log priors in
+place and reduces over sets: the max, exact in any order, along the longer
+axis of the block, and the sum of exponentials over a (batch, sets)-
+contiguous copy, so each point's sets are summed in numpy's order for one
+row. Neither sum depends on the batch size or on chunking.
 
 The density is the normal law of log10(O/E) with mean 0 and variance
 c2/E, taken in log-ratio space (no Jacobian back to height space); allelic
@@ -66,6 +74,17 @@ def log10_ratio(num: float, den: float) -> float:
     if den == NEG_INF:
         return math.inf
     return num - den
+
+
+def lr_from_log10(l: float) -> float:
+    """A likelihood ratio from its log10: 0 for an exclusion (-inf), and
+    inf where 10**l is beyond the float range."""
+    if l == NEG_INF:
+        return 0.0
+    try:
+        return 10.0**l
+    except OverflowError:
+        return math.inf
 
 
 def peak_density(observed: float, expected: float, c2: float) -> float:
@@ -212,17 +231,40 @@ def set_log_likelihood(
 _MIN_LN = -700.0
 
 
-def log10sumexp(values: np.ndarray, axis=None) -> np.ndarray:
+def log10sumexp(values: np.ndarray) -> float:
     """Stable log10 of a sum of 10**values."""
     values = np.asarray(values, dtype=float)
-    m = np.max(values, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.maximum(LN10 * (values - m_safe), _MIN_LN)
-        s = np.sum(np.exp(d), axis=axis, keepdims=True)
-        out = m_safe + np.log10(s)
-    out = np.where(np.isfinite(m), out, NEG_INF)
-    return np.squeeze(out, axis=axis) if axis is not None else float(out.item())
+    m = np.max(values)
+    if not np.isfinite(m):
+        return NEG_INF
+    d = np.maximum(LN10 * (values - m), _MIN_LN)
+    return float(m + np.log10(np.sum(np.exp(d))))
+
+
+def _log10sumexp_sets(values: np.ndarray) -> np.ndarray:
+    """(batch,) log10 of the sum over sets of 10**values, for (sets, batch)
+    values, which it may overwrite.
+
+    A point whose sets are all -inf is -inf. The max over sets is exact in
+    any order, so it and the element-wise steps run along the longer axis
+    of the block. The sum runs over a (batch, sets)-contiguous array, so
+    each point's sets are summed in numpy's order for one row whatever the
+    batch size.
+    """
+    wide = values.shape[1] >= values.shape[0]
+    if not wide:
+        values = np.ascontiguousarray(values.T)
+    m = values.max(axis=0 if wide else 1, keepdims=True)
+    excluded = ~np.isfinite(m)
+    m[excluded] = 0.0
+    values -= m
+    values *= LN10
+    np.maximum(values, _MIN_LN, out=values)
+    np.exp(values, out=values)
+    rows = np.ascontiguousarray(values.T) if wide else values
+    out = m.reshape(-1) + np.log10(rows.sum(axis=1))
+    out[excluded.reshape(-1)] = NEG_INF
+    return out
 
 
 def full_log10_likelihood(
@@ -292,9 +334,11 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Elements (batch rows x live sets x positions) in one kernel temporary, so
 # memory per chunk stays bounded at any NoC and any batch size. 2**15
-# float64 values (256 KiB) keep a chunk's temporaries in a core's L2 cache:
-# on a 2-core Xeon with 2 MiB of L2 per core this was 20-40% faster per
-# point than 2**20 for the 2- and 3-contributor Hd kernels.
+# float64 values (256 KiB) keep a chunk's temporaries in a core's L2 cache.
+# On a 2-core Xeon with 2 MiB of L2 per core, per point at batch 2048 on the
+# two-contributor, two-locus shapes of 4 and 18 live sets per locus, 2**13
+# was 55-70% slower than 2**15 and 2**14 13-23% slower; 2**16 was 0-10%
+# faster, and 2**17 40-50% slower on the 18-set shape.
 _CHUNK_ELEMENTS = 1 << 15
 
 
@@ -318,7 +362,9 @@ class LocusEvaluator:
     log-density on a row at an observed position (-inf where the expectation
     is 0) and the dropout log-mass on any other (0 where it is 0). One
     gather then takes the row of each (position, set), and the terms are
-    summed over positions in position order. Every element goes through the
+    added one position at a time in position order into a (live sets,
+    batch) array, which is returned as its (batch, live sets) transposed
+    view. Every element goes through the
     floating-point operations it would if each set were computed on its own
     and its position terms summed, so the results are those of such a
     per-set kernel, bit for bit; the cost of the transcendental work grows
@@ -425,6 +471,9 @@ class LocusEvaluator:
         self._ln_obs = np.log([p.height for p in peaks])[
             self.row_positions[: self._n_obs_rows], None
         ]
+        # each row's term where its expectation is 0
+        self._zero_fill = np.zeros((len(rows), 1))
+        self._zero_fill[: self._n_obs_rows] = NEG_INF
         # (contributors, parts x rows, 1): every row's own copies, then every
         # row's copies at each modelled stutter source
         vectors = rows[:, 1:].reshape(len(rows), n_parts, n_c)
@@ -449,11 +498,14 @@ class LocusEvaluator:
         bw: np.ndarray,
         fw: np.ndarray,
     ) -> np.ndarray:
-        """(batch, live sets) array of log10 per-set locus likelihoods.
+        """(batch, live sets) log10 per-set locus likelihoods: the transposed
+        view of a (live sets, batch) array.
 
         templates has shape (batch, n_contrib); the scalar parameters are
         (batch,) arrays or numbers. Terms of a feature the model config
-        disables are not used.
+        disables are not used. Each set's position terms are added one
+        position at a time in position order, so a value does not depend
+        on the batch size.
         """
         templates = np.atleast_2d(np.asarray(templates, dtype=float))
         c2, slope, bw, fw = (np.asarray(v, dtype=float) for v in (c2, slope, bw, fw))
@@ -461,10 +513,11 @@ class LocusEvaluator:
         # (linear terms, batch), summed in contributor order: a sum of three
         # or more templates rounds by its order, and a BLAS matrix product
         # changes that order with the batch size
+        columns = np.ascontiguousarray(templates.T)
         copies = self._row_copies
-        lin = copies[0] * templates[:, 0]
+        lin = copies[0] * columns[0]
         for c in range(1, self.n_contrib):
-            lin += copies[c] * templates[:, c]
+            lin += copies[c] * columns[c]
 
         # (rows, batch) expectations; a row whose stutter source is not a
         # position adds prop * 0, which leaves it unchanged
@@ -481,10 +534,10 @@ class LocusEvaluator:
         n_obs_rows = self._n_obs_rows
         term = np.empty_like(e)
         with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(e, out=term)
             # normal log-density of x = log10(O/E) with variance c2/E:
             # -x^2 E / (2 c2) - ln(2 pi c2) / 2 + ln(E) / 2, in natural logs
             eo, obs = e[:n_obs_rows], term[:n_obs_rows]
-            np.log(eo, out=obs)
             sq = self._ln_obs - obs
             sq *= sq
             sq *= eo
@@ -492,22 +545,25 @@ class LocusEvaluator:
             obs -= np.log(2 * math.pi * c2)
             obs -= sq
             obs /= 2 * LN10
-            # an observed peak with zero expectation excludes its set
-            obs[eo == 0] = NEG_INF
             # dropout mass below the threshold at unobserved positions
             eu, z = e[n_obs_rows:], term[n_obs_rows:]
-            np.log(eu, out=z)
             np.subtract(self._ln_threshold, z, out=z)
             z *= np.sqrt(eu)
             z /= LN10 * np.sqrt(c2)
-            # a position with no expectation adds nothing
-            z[eu == 0] = np.inf
             log_ndtr(z, out=z)
             z /= LN10
-        # gathered to (positions, sets, batch) and summed over positions in
-        # position order; row-major (batch, sets), so a row's sum over sets
-        # runs in one order whatever the batch size
-        return np.ascontiguousarray(term.take(self._row_index, axis=0).sum(axis=0).T)
+        # a row with zero expectation: an observed peak there excludes its
+        # set, and an unobserved position adds nothing
+        np.copyto(term, self._zero_fill, where=e == 0)
+
+        # gathered to (positions, live sets, batch) and summed one position at
+        # a time: numpy's sum would take a (positions, 1, 1) block, one set
+        # at batch 1, pairwise
+        gathered = term.take(self._row_index, axis=0)
+        total = gathered[0]
+        for terms in gathered[1:]:
+            total += terms
+        return total.T
 
 
 class MixtureEvaluator:
@@ -558,8 +614,9 @@ class MixtureEvaluator:
             part = slice(lo, lo + rows)
             args = [v[part] if v.ndim else v for v in scalars]
             for ev in self.evaluators:
-                per_set = ev.set_log10_likelihoods(templates[part], *args)
-                total[part] += log10sumexp(ev.log10_priors + per_set, axis=-1)
+                per_set = ev.set_log10_likelihoods(templates[part], *args).T
+                per_set += ev.log10_priors[:, None]
+                total[part] += _log10sumexp_sets(per_set)
         return total
 
     def marginal_log10_params(self, params: MassParams) -> float:

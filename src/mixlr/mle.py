@@ -33,7 +33,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .genotypes import FrequencyTable, RareAllelePolicy
-from .likelihood import NEG_INF, MixtureEvaluator, build_evaluator, log10_ratio
+from .likelihood import (
+    NEG_INF,
+    MixtureEvaluator,
+    build_evaluator,
+    log10_ratio,
+    lr_from_log10,
+)
 from .model import (
     MassParams,
     ModelConfig,
@@ -305,14 +311,6 @@ def lr_ml(num: MleResult, den: MleResult) -> float:
 
 def log10_lr(num: MleResult, den: MleResult) -> float:
     return log10_ratio(num.log10_max, den.log10_max)
-
-
-def lr_from_log10(l: float) -> float:
-    if l == NEG_INF:
-        return 0.0
-    if l == float("inf"):
-        return float("inf")
-    return 10.0**l
 
 
 def bounded_lrs(

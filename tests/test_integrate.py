@@ -221,6 +221,13 @@ class TestLrInt:
         assert lr_int(self._res(0.0), self._res(0.2)) == 0.0
         assert lr_int(self._res(0.2), self._res(0.0)) == float("inf")
 
+    def test_beyond_the_float_range(self):
+        # both marginals are positive; their ratio is not a float
+        big = IntegralResult("h", 1.0, 0.0, "QUADRATURE", 0, True, 1, None)
+        tiny = IntegralResult("h", 0.0, -400.0, "QUADRATURE", 0, True, 1, None)
+        assert lr_int(big, tiny) == float("inf")
+        assert lr_int(tiny, big) == 0.0
+
     def test_toy_lr_int(self, toy_profile, toy_table, policy, toy_hp, toy_hd):
         num = marginal_quadrature(toy_profile, toy_hp, toy_table, policy, prior=PINNED)
         den = marginal_quadrature(toy_profile, toy_hd, toy_table, policy, prior=PINNED)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import pytest
@@ -134,6 +135,38 @@ class TestCli:
         unconverged = not (block["converged_hp"] and block["converged_hd"])
         assert ("did not converge" in captured.err) == unconverged
         assert "metadata" in payload
+
+    def test_lr_beyond_the_float_range(self, tmp_path, capsys):
+        # one contributor of two rare alleles at each of 50 loci: the log10
+        # LR is above 308 and the Hd marginal below the smallest float
+        loci = [f"L{i}" for i in range(50)]
+        profile = Profile({l: [Peak("10", 1000.0), Peak("11", 1100.0)] for l in loci}, 50.0)
+        table = FrequencyTable({l: {"10": 1e-5, "11": 1e-5} for l in loci}, n_individuals=500)
+        mio.write_profile_csv(tmp_path / "profile.csv", profile)
+        mio.write_frequency_table(tmp_path / "freq.csv", table)
+        mio.write_genotype_csv(tmp_path / "poi.csv", {l: Genotype("10", "11") for l in loci})
+        (tmp_path / "hp.json").write_text(json.dumps({"noc": 1, "fixed": {"0": "poi.csv"}}))
+        (tmp_path / "hd.json").write_text(json.dumps({"noc": 1}))
+        out = tmp_path / "lr.json"
+        code = main(
+            [
+                "lr",
+                "--profile", str(tmp_path / "profile.csv"),
+                "--freq", str(tmp_path / "freq.csv"),
+                "--hp", str(tmp_path / "hp.json"),
+                "--hd", str(tmp_path / "hd.json"),
+                "--engine", "both",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        mle, block = payload["mle"], payload["int"]
+        assert mle["log10_lr_ml"] > 308 and mle["lr_ml"] == math.inf
+        assert block["log10_lr_int"] > 308 and block["lr_int"] == math.inf
+        assert block["marginal_hd"] == 0.0 and -math.inf < block["log10_marginal_hd"] < -308
+        assert block["log10_lr_int"] == block["log10_marginal_hp"] - block["log10_marginal_hd"]
+        assert "Integrated LR: inf" in capsys.readouterr().out
 
     def test_lr_warns_on_c2_at_a_bound(self, toy_files, tmp_path, capsys):
         # two balanced peaks from one contributor: c2 fits at its lower bound

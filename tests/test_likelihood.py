@@ -344,6 +344,60 @@ class TestPruning:
             assert np.array_equal(ev.marginal_log10(batch, *numbers), whole_numbers)
             assert np.array_equal(ev.marginal_log10(batch, *arrays), whole_numbers)
 
+    def test_chunked_reduction_over_few_sets_matches_the_row_formula(self, monkeypatch, policy):
+        # 19 live sets against 37 rows: the whole batch is wider than the
+        # set count, chunks of 1 and 5 rows are narrower
+        profile = Profile({"L": [Peak("A", 900.0), Peak("B", 400.0)]}, 50.0)
+        table = FrequencyTable({"L": {"A": 0.3, "B": 0.3}}, n_individuals=500)
+        sets = enumerate_sets(profile, Proposition(noc=2), table, policy)
+        ev = MixtureEvaluator(profile, sets)
+        lev = ev.evaluators[0]
+        rng = np.random.default_rng(5)
+        batch = rng.uniform(0.0, 2000.0, size=(37, 2))
+        batch[:3] = 0.0  # excluded: no set explains a peak
+        batch[3:6] = (1e5, 400.0)  # sets far below the best, past the clip
+        c2 = rng.uniform(0.5, 50.0, len(batch))
+        assert len(batch) > len(lev.live_sets) > 5
+
+        # the set reduction of a (batch, sets) row-major block, one row per point
+        per_set = np.ascontiguousarray(lev.set_log10_likelihoods(batch, c2, 1.0, 0.0, 0.0))
+        values = lev.log10_priors + per_set
+        m = values.max(axis=1, keepdims=True)
+        m_safe = np.where(np.isfinite(m), m, 0.0)
+        scaled = likelihood.LN10 * (values - m_safe)
+        assert np.any(np.isfinite(scaled) & (scaled < likelihood._MIN_LN))
+        s = np.exp(np.maximum(scaled, likelihood._MIN_LN)).sum(axis=1, keepdims=True)
+        want = np.where(np.isfinite(m), m_safe + np.log10(s), NEG_INF)[:, 0]
+        assert np.all(want[:3] == NEG_INF) and np.all(np.isfinite(want[3:]))
+
+        width = lev.copies.shape[0] * lev.copies.shape[2]
+        for rows in (1, 5, len(batch)):
+            monkeypatch.setattr(likelihood, "_CHUNK_ELEMENTS", rows * width)
+            got = ev.marginal_log10(batch, c2)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), rows
+
+    def test_one_set_over_many_positions_changes_no_bit_with_batch(self, policy):
+        # five fixed contributors leave one genotype set over nine positions
+        alleles = [str(a) for a in range(10, 19)]
+        profile = Profile(
+            {"L": [Peak(a, 500.0 + 60.0 * i) for i, a in enumerate(alleles)]}, 50.0
+        )
+        table = FrequencyTable({"L": {a: 0.1 for a in alleles}}, n_individuals=500)
+        fixed = {
+            c: {"L": Genotype(a, b)}
+            for c, (a, b) in enumerate(
+                [("10", "11"), ("12", "13"), ("14", "15"), ("16", "17"), ("18", "18")]
+            )
+        }
+        sets = enumerate_sets(profile, Proposition(noc=5, fixed_contributors=fixed), table, policy)
+        ev = MixtureEvaluator(profile, sets)
+        assert len(ev.evaluators[0].live_sets) == 1
+        assert len(ev.evaluators[0].positions) == 9
+        templates = np.random.default_rng(13).uniform(0.0, 2000.0, size=(2000, 5))
+        whole = ev.marginal_log10(templates, 12.0)
+        one = np.concatenate([ev.marginal_log10(row[None], 12.0) for row in templates])
+        assert np.array_equal(one.view(np.int64), whole.view(np.int64))
+
     def test_batch_size_changes_no_bit_at_four_contributors(self, policy):
         # a row's expectation can sum four templates, and a sum of more than
         # two terms rounds by the order it is taken in

@@ -283,6 +283,11 @@ class TestLrHelpers:
         assert lr_ml(self._result(0.0), self._result(NEG_INF)) == float("inf")
         assert lr_from_log10(NEG_INF) == 0.0
 
+    def test_ratio_beyond_the_float_range(self):
+        assert lr_ml(self._result(400.0), self._result(0.0)) == float("inf")
+        assert lr_ml(self._result(-400.0), self._result(0.0)) == 0.0
+        assert lr_from_log10(400.0) == float("inf")
+
     def test_bounds_degenerate(self, toy_profile, toy_table, policy, toy_hp):
         # M1 == M2 collapses both bounds onto the same frozen ratio
         ev = build_evaluator(toy_profile, toy_hp, toy_table, policy, ModelConfig())
