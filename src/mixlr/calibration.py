@@ -15,10 +15,13 @@ from typing import Optional, Sequence
 
 from scipy.special import betaincinv
 
+from .likelihood import lr_from_log10
+
 HP_LABEL = "HP"
 HA_LABEL = "HA"
 
 LEVEL = 0.95  # coverage of each bin's Clopper-Pearson interval
+MAX_BINS = 100_000  # the table is built whole, at about 0.45 KB and 6 us a bin
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,10 @@ class CalibrationBin:
 
 
 def posterior_probability(log10_lr: float, prior_odds: float) -> float:
-    """Posterior P(Hp) from a log10 LR and prior odds."""
-    odds = 10.0**log10_lr * prior_odds
-    return odds / (odds + 1.0)
+    """Posterior P(Hp) from a log10 LR and prior odds; 1.0 where the
+    posterior odds are beyond the float range."""
+    odds = lr_from_log10(log10_lr) * prior_odds
+    return 1.0 if odds == math.inf else odds / (odds + 1.0)
 
 
 def expected_posterior_bounds(
@@ -98,9 +102,9 @@ def calibrate(
 
     log10 LR None encodes an exclusion (LR = 0); every other log10 LR must
     be finite. Exclusions are reported as counts outside the table (there
-    is no bin for -inf). Bin edges are multiples of bin_width. A bin MISSes
-    when its 95% Clopper-Pearson interval does not intersect the expected
-    posterior band.
+    is no bin for -inf). Bin edges are multiples of bin_width; a table of
+    more than MAX_BINS bins is a ValueError. A bin MISSes when its 95%
+    Clopper-Pearson interval does not intersect the expected posterior band.
     """
     if not 0 < bin_width < math.inf:
         raise ValueError(f"bin width must be positive and finite, got {bin_width}")
@@ -124,6 +128,9 @@ def calibrate(
 
     lo_edge = math.floor(min(l for l, _ in finite) / bin_width)
     hi_edge = math.floor(max(l for l, _ in finite) / bin_width)
+    n_bins = hi_edge - lo_edge + 1
+    if n_bins > MAX_BINS:
+        raise ValueError(f"{n_bins} bins of width {bin_width} exceed the limit of {MAX_BINS}")
     counts: dict[int, list[int]] = {i: [0, 0] for i in range(lo_edge, hi_edge + 1)}
     for l, label in finite:
         counts[math.floor(l / bin_width)][0 if label == HP_LABEL else 1] += 1

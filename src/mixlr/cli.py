@@ -10,8 +10,8 @@ failure, 4 validation error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -63,6 +63,12 @@ def _from_json(cls, raw, what: str, **given):
         raise ValueError(f"{what}: {e}") from e
 
 
+def _flags(args) -> dict:
+    """The flags a run's config hash covers: all but the subcommand's handler
+    and --out, which name no setting of the run."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+
+
 def _load_model_config(path) -> ModelConfig:
     if path is None:
         return ModelConfig()
@@ -89,13 +95,12 @@ def _cmd_toy(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         grid = toy.toy_grid()
         stamp = mio.output_metadata(config={"mode": args.mode})
-        grid_path = os.path.join(args.out, "toy_grid.csv")
-        with open(grid_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t1"] + [f"t2={t:g}" for t in toy.T2_LATTICE])
-            for i, t1 in enumerate(toy.T1_LATTICE):
-                w.writerow([f"{t1:g}"] + [repr(v) for v in grid[i]])
-        mio.write_stamp(grid_path, stamp)
+        mio.write_csv(
+            os.path.join(args.out, "toy_grid.csv"),
+            ["t1"] + [f"t2={t:g}" for t in toy.T2_LATTICE],
+            ([f"{t1:g}", *grid[i]] for i, t1 in enumerate(toy.T1_LATTICE)),
+            stamp,
+        )
         payload = {name: asdict(rep) for name, rep in reports.items()}
         payload["metadata"] = stamp
         mio.write_json(os.path.join(args.out, "toy_report.json"), payload)
@@ -122,7 +127,7 @@ def _cmd_lr(args) -> int:
     config = _load_model_config(args.config)
     hp = _load_proposition(args.hp, HP)
     hd = _load_proposition(args.hd, HD)
-    out = {"metadata": mio.output_metadata(seed=args.seed, config=vars(args))}
+    out = {"metadata": mio.output_metadata(seed=args.seed, config=_flags(args))}
     if args.engine in ("mle", "both"):
         report = fit_both(
             profile, hp, hd, table, policy, config, SearchSpec(seed=args.seed)
@@ -203,8 +208,6 @@ def _cmd_study(args) -> int:
     mio.write_records_csv(
         os.path.join(args.out, "records.csv"), records, summary["metadata"]
     )
-    for g in summary["groups"].values():
-        g.pop("c2_pairs", None)  # scatter data lives in records.csv
     mio.write_json(os.path.join(args.out, "summary.json"), summary)
     return EXIT_OK
 
@@ -214,24 +217,25 @@ def _cmd_calibrate(args) -> int:
     if not grouped:
         raise ValueError("no calibration records")
     os.makedirs(args.out, exist_ok=True)
-    verdicts = {"metadata": mio.output_metadata(config=vars(args)), "systems": {}}
+    verdicts = {"metadata": mio.output_metadata(config=_flags(args)), "systems": {}}
     for system, records in grouped.items():
         result = calibrate(records, bin_width=args.binwidth)
         tag = system or "all"
         mio.write_calibration_csv(
             os.path.join(args.out, f"calibration_{tag}.csv"), result, verdicts["metadata"]
         )
-        plot_path = os.path.join(args.out, f"plotdata_{tag}.csv")
-        with open(plot_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_center", "logit_observed", "logit_p_lo", "logit_p_hi"])
-            for b in result["bins"]:
-                if b.observed is None or not 0 < b.observed < 1:
-                    continue
-                w.writerow(
-                    [(b.lo + b.hi) / 2, logit(b.observed), logit(b.p_lo), logit(b.p_hi)]
-                )
-        mio.write_stamp(plot_path, verdicts["metadata"])
+        # the band's logit is log10 posterior odds: log10 LR plus log10 prior odds
+        log10_prior = math.log10(result["prior_odds"])
+        mio.write_csv(
+            os.path.join(args.out, f"plotdata_{tag}.csv"),
+            ["bin_center", "logit_observed", "logit_p_lo", "logit_p_hi"],
+            (
+                [(b.lo + b.hi) / 2, logit(b.observed), b.lo + log10_prior, b.hi + log10_prior]
+                for b in result["bins"]
+                if b.observed is not None and 0 < b.observed < 1
+            ),
+            verdicts["metadata"],
+        )
         verdicts["systems"][tag] = {
             "n_hp": result["n_hp"],
             "n_ha": result["n_ha"],

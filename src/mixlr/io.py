@@ -14,10 +14,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from dataclasses import astuple, fields
 from importlib.metadata import PackageNotFoundError, version as pkg_version
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, get_args, get_type_hints
 
-from .calibration import HA_LABEL, HP_LABEL
+import numpy as np
+
+from .calibration import HA_LABEL, HP_LABEL, CalibrationBin
 from .genotypes import FrequencyTable
 from .model import Genotype, Peak, Profile
 from .study import LrRecord
@@ -35,12 +38,13 @@ def package_version() -> str:
 
 
 def output_metadata(seed: Optional[int] = None, config: object = None) -> dict:
-    """Reproducibility stamp attached to every JSON artifact."""
+    """Reproducibility stamp attached to every artifact; a config that is
+    not JSON raises TypeError."""
     meta = {"format": FORMAT_VERSION, "version": package_version()}
     if seed is not None:
         meta["seed"] = seed
     if config is not None:
-        blob = json.dumps(config, sort_keys=True, default=str).encode()
+        blob = json.dumps(config, sort_keys=True).encode()
         meta["config_hash"] = hashlib.sha256(blob).hexdigest()[:16]
     return meta
 
@@ -49,6 +53,30 @@ def write_stamp(path: str, metadata: Optional[dict] = None) -> None:
     """Write the reproducibility stamp of a CSV artifact beside it, as
     <path>.meta.json; the default stamp carries no seed or config hash."""
     write_json(f"{path}.meta.json", metadata or output_metadata())
+
+
+def _cell(v: object) -> object:
+    """The one rule for a CSV cell: None is empty, a bool true/false, a float
+    (numpy scalars included) its repr, anything else itself."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return v
+
+
+def write_csv(
+    path: str, header: Sequence[str], rows: Iterable[Sequence], metadata: Optional[dict] = None
+) -> None:
+    """A stamped CSV artifact: header, then rows cell by cell through _cell,
+    then the stamp (metadata, by default output_metadata()) in the sidecar."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
+    write_stamp(path, metadata)
 
 
 def read_profile_csv(path: str, analytical_threshold: Optional[float] = None) -> Profile:
@@ -112,22 +140,9 @@ def read_frequency_table(path: str) -> FrequencyTable:
 
 
 def write_frequency_table(path: str, table: FrequencyTable):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["locus", "allele", "frequency"])
-        for locus, freqs in table.frequencies.items():
-            for allele, f in freqs.items():
-                w.writerow([locus, allele, repr(f)])
-    with open(f"{path}.meta.json", "w") as fh:
-        json.dump(
-            {
-                "n_individuals": table.n_individuals,
-                "n_allele_classes": table.n_allele_classes,
-                **output_metadata(),
-            },
-            fh,
-            indent=2,
-        )
+    rows = ([l, a, f] for l, freqs in table.frequencies.items() for a, f in freqs.items())
+    sidecar = {"n_individuals": table.n_individuals, "n_allele_classes": table.n_allele_classes}
+    write_csv(path, ["locus", "allele", "frequency"], rows, {**sidecar, **output_metadata()})
 
 
 def read_genotype_csv(path: str) -> dict[str, Genotype]:
@@ -150,65 +165,41 @@ def write_genotype_csv(path: str, genotype: Mapping[str, Genotype]) -> None:
             w.writerow([locus, g.alleles[0], g.alleles[1]])
 
 
-_RECORD_COLUMNS = [
-    "case_id", "donor_label", "engine", "log10_lr", "c2_hp", "c2_hd", "mixprop_divergence",
-    "converged", "function_evals", "c2_on_face",
-]
-
-
 def write_records_csv(
     path: str, records: Sequence[LrRecord], metadata: Optional[dict] = None
 ) -> None:
-    """Study records; an exclusion is the literal sentinel, never a number.
-    The stamp (metadata, by default output_metadata()) goes to the sidecar."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_RECORD_COLUMNS)
-        for r in records:
-            w.writerow(
-                [
-                    r.case_id,
-                    r.donor_label,
-                    r.engine,
-                    EXCLUSION if r.log10_lr is None else repr(r.log10_lr),
-                    "" if r.c2_hp is None else repr(r.c2_hp),
-                    "" if r.c2_hd is None else repr(r.c2_hd),
-                    "" if r.mixprop_divergence is None else repr(r.mixprop_divergence),
-                    "" if r.converged is None else str(r.converged).lower(),
-                    "" if r.function_evals is None else r.function_evals,
-                    "" if r.c2_on_face is None else str(r.c2_on_face).lower(),
-                ]
-            )
-    write_stamp(path, metadata)
+    """Study records, one column per LrRecord field in declaration order; an
+    exclusion is the literal sentinel, never a number."""
+    names = [f.name for f in fields(LrRecord)]
+    rows = (
+        [EXCLUSION if n == "log10_lr" and r.excluded else getattr(r, n) for n in names]
+        for r in records
+    )
+    write_csv(path, names, rows, metadata)
+
+
+_BOOLS = {"true": True, "false": False}
+
+
+def _decode(name: str, text: Optional[str], hint) -> object:
+    """One records cell read back by its field's annotation; the inverse of
+    write_records_csv."""
+    optional = type(None) in get_args(hint)
+    if optional and text in (None, EXCLUSION if name == "log10_lr" else ""):
+        return None
+    kind = get_args(hint)[0] if optional else hint
+    return _BOOLS[text] if kind is bool else kind(text)
 
 
 def read_records_csv(path: str) -> list[LrRecord]:
-    out: list[LrRecord] = []
-
-    def opt(v, kind=float):
-        return None if v in (None, "") else kind(v)
-
-    def flag(v):
-        return {"true": True, "false": False}.get(v)
-
+    """Records written by write_records_csv; a column missing from the file
+    gives its field's default."""
+    hints = get_type_hints(LrRecord)
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            lr = row["log10_lr"]
-            out.append(
-                LrRecord(
-                    case_id=int(row["case_id"]),
-                    donor_label=row["donor_label"],
-                    engine=row["engine"],
-                    log10_lr=None if lr == EXCLUSION else float(lr),
-                    c2_hp=opt(row.get("c2_hp")),
-                    c2_hd=opt(row.get("c2_hd")),
-                    mixprop_divergence=opt(row.get("mixprop_divergence")),
-                    converged=flag(row.get("converged")),
-                    function_evals=opt(row.get("function_evals"), int),
-                    c2_on_face=flag(row.get("c2_on_face")),
-                )
-            )
-    return out
+        return [
+            LrRecord(**{k: _decode(k, v, hints[k]) for k, v in row.items() if k in hints})
+            for row in csv.DictReader(fh)
+        ]
 
 
 def read_calibration_csv(path: str) -> dict[str, list[tuple[Optional[float], str]]]:
@@ -229,24 +220,11 @@ def read_calibration_csv(path: str) -> dict[str, list[tuple[Optional[float], str
     return out
 
 
-def write_calibration_csv(path: str, result: dict, metadata: Optional[dict] = None) -> None:
-    """The bin table of one calibration run, with its stamp (metadata, by
-    default output_metadata()) in the sidecar."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["lo", "hi", "count_hp", "count_ha", "p_lo", "p_hi",
-             "observed", "ci_lo", "ci_hi", "verdict"]
-        )
-        for b in result["bins"]:
-            w.writerow(
-                [b.lo, b.hi, b.count_hp, b.count_ha, repr(b.p_lo), repr(b.p_hi),
-                 "" if b.observed is None else repr(b.observed),
-                 "" if b.ci_lo is None else repr(b.ci_lo),
-                 "" if b.ci_hi is None else repr(b.ci_hi),
-                 b.verdict]
-            )
-    write_stamp(path, metadata)
+def write_calibration_csv(path: str, result: dict, metadata: dict) -> None:
+    """The bin table of one calibration run, one column per CalibrationBin
+    field in declaration order, with its stamp in the sidecar."""
+    names = [f.name for f in fields(CalibrationBin)]
+    write_csv(path, names, map(astuple, result["bins"]), metadata)
 
 
 def write_json(path: str, payload: dict) -> None:

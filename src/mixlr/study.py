@@ -400,7 +400,6 @@ def divergence_summary(records: Sequence[LrRecord]) -> dict:
             ratios = [a / b for a, b in c2_pairs if b > 0]
             entry["median_c2_hp_minus_hd"] = float(np.median(diffs))
             entry["max_c2_ratio"] = float(max(ratios)) if ratios else None
-            entry["c2_pairs"] = c2_pairs
         fits = [r for r in rs if r.converged is not None]
         if fits:
             entry["n_nonconverged"] = sum(1 for r in fits if not r.converged)

@@ -12,6 +12,7 @@ import mixlr
 from mixlr.calibration import (
     HA_LABEL,
     HP_LABEL,
+    MAX_BINS,
     calibrate,
     expected_posterior_bounds,
     frequency_interval,
@@ -36,6 +37,16 @@ class TestPosterior:
         pi = N_HP / N_HA
         # LR exactly cancelling the prior odds gives posterior 1/2
         assert posterior_probability(-math.log10(pi), pi) == pytest.approx(0.5)
+
+    def test_posterior_beyond_the_float_range(self):
+        # 10**400 overflows; the posterior is then 1, and ordinary values
+        # keep the plain formula's bits
+        assert posterior_probability(400.0, 0.5) == 1.0
+        assert posterior_probability(308.0, 1e10) == 1.0
+        assert posterior_probability(-400.0, 0.5) == 0.0
+        for l in (-3.25, 0.0, 1.5, 16.5):
+            odds = 10.0**l * 0.5
+            assert posterior_probability(l, 0.5) == odds / (odds + 1.0)
 
     def test_bounds_monotone(self):
         prev_hi = None
@@ -145,6 +156,15 @@ class TestCalibrate:
     def test_non_finite_lr_is_rejected(self, l):
         with pytest.raises(ValueError, match=str(l)):
             calibrate([(0.1, HP_LABEL), (l, HA_LABEL), (0.2, HA_LABEL)])
+
+    @pytest.mark.parametrize("width", [1e-5, 1e-12])
+    def test_bin_table_is_bounded(self, width):
+        # four records over [-0.5, 1.0]: 15,001 bins at width 1e-4 take about
+        # 7 MB, 150,000 at 1e-5 about 67 MB, and 1e-12 would exhaust memory
+        records = [(1.0, HP_LABEL), (-0.5, HA_LABEL), (0.3, HP_LABEL), (0.2, HA_LABEL)]
+        with pytest.raises(ValueError, match=f"of width {width} exceed the limit of {MAX_BINS}"):
+            calibrate(records, bin_width=width)
+        assert len(calibrate(records, bin_width=1e-4)["bins"]) == 15001
 
     @pytest.mark.parametrize("width", [math.inf, math.nan])
     def test_non_finite_bin_width_is_rejected(self, width):

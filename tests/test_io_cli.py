@@ -2,10 +2,16 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
 
+import mixlr
 from mixlr import io as mio
+from mixlr import toy
+from mixlr.calibration import CalibrationBin
 from mixlr.cli import EXIT_GOLDEN, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from mixlr.genotypes import FrequencyTable
 from mixlr.model import Genotype, Peak, Profile
@@ -75,6 +81,10 @@ class TestRoundTrips:
         assert grouped["sysA"] == [(1.5, "HP"), (None, "HA")]
         assert grouped["sysB"] == [(-0.5, "HA")]
 
+    def test_metadata_stamp_needs_a_json_config(self):
+        with pytest.raises(TypeError):
+            mio.output_metadata(config={"func": print})
+
     def test_metadata_stamp(self):
         meta = mio.output_metadata(seed=7, config={"a": 1})
         assert meta["format"] == mio.FORMAT_VERSION
@@ -103,6 +113,15 @@ class TestCli:
         assert report["lattice"]["int_h2"] == pytest.approx(0.2050, abs=1e-3)
         stamp = json.loads((out / "toy_grid.csv.meta.json").read_text())
         assert stamp == report["metadata"]
+
+    def test_toy_grid_cells_are_the_library_floats(self, tmp_path, capsys):
+        out = tmp_path / "toy"
+        assert main(["toy", "--mode", "lattice", "--out", str(out)]) == EXIT_OK
+        with open(out / "toy_grid.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        grid = toy.toy_grid()
+        assert [float(r[0]) for r in rows] == list(toy.T1_LATTICE)
+        assert [[float(c) for c in r[1:]] for r in rows] == grid.tolist()
 
     def test_toy_check_matches_library(self, capsys):
         # the CLI self-check and the library report identically
@@ -345,6 +364,54 @@ class TestCli:
         for name in ("calibration_all.csv", "plotdata_all.csv"):
             stamp = json.loads((cal_out / f"{name}.meta.json").read_text())
             assert stamp == verdicts["metadata"]
+
+    @staticmethod
+    def _calibrate(tmp_path, rows, *extra):
+        path = tmp_path / "cal.csv"
+        path.write_text("log10_lr,label\n" + "".join(f"{l},{lab}\n" for l, lab in rows))
+        return main(["calibrate", "--records", str(path), "--out", str(tmp_path / "o"), *extra])
+
+    def test_calibrate_beyond_the_float_range(self, tmp_path, capsys):
+        rows = [("1.0", "HP"), ("400", "HA"), ("-0.5", "HA")]
+        assert self._calibrate(tmp_path, rows) == EXIT_OK
+        with open(tmp_path / "o" / "calibration_all.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert [f.name for f in fields(CalibrationBin)] == list(table[0])
+        top = table[-1]
+        assert (top["lo"], top["count_ha"], top["p_lo"], top["p_hi"]) == (
+            "400.0", "1", "1.0", "1.0"
+        )
+
+    def test_plotdata_band_is_log10_posterior_odds(self, tmp_path, capsys):
+        # the band of bin [16, 17) has p_hi 1.0 in floats, but finite log10 odds
+        rows = [("16.2", "HP"), ("16.5", "HA"), ("-0.5", "HA"), ("0.3", "HP"), ("0.4", "HA")]
+        assert self._calibrate(tmp_path, rows) == EXIT_OK
+        with open(tmp_path / "o" / "plotdata_all.csv", newline="") as fh:
+            plot = [{k: float(v) for k, v in r.items()} for r in csv.DictReader(fh)]
+        log10_prior = math.log10(2 / 3)
+        assert [(r["bin_center"], r["logit_p_lo"], r["logit_p_hi"]) for r in plot] == [
+            (0.5, 0.0 + log10_prior, 1.0 + log10_prior),
+            (16.5, 16.0 + log10_prior, 17.0 + log10_prior),
+        ]
+
+    def test_too_many_calibration_bins_is_validation_error(self, tmp_path, capsys):
+        rows = [("1.0", "HP"), ("-0.5", "HA")]
+        assert self._calibrate(tmp_path, rows, "--binwidth", "1e-12") == EXIT_VALIDATION
+        assert "1500000000001 bins of width 1e-12" in capsys.readouterr().err
+
+    def test_config_hash_ignores_out(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_text("log10_lr,label\n1.0,HP\n-0.5,HA\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mixlr.__file__))}
+        stamps = []
+        for out in ("a", "b"):
+            subprocess.run(
+                [sys.executable, "-m", "mixlr.cli", "calibrate", "--records", str(path),
+                 "--out", str(tmp_path / out)],
+                env=env, capture_output=True, check=True,
+            )
+            stamps.append(json.loads((tmp_path / out / "verdicts.json").read_text())["metadata"])
+        assert stamps[0] == stamps[1] and "config_hash" in stamps[0]
 
     def test_empty_calibration_records_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
