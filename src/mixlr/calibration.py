@@ -91,7 +91,8 @@ def logit(p: float) -> float:
 
 
 def inverse_logit(x: float) -> float:
-    return 1.0 / (1.0 + 10.0**-x)
+    """The probability whose log10 odds are x; 0.0 or 1.0 beyond the float range."""
+    return 1.0 / (1.0 + lr_from_log10(-x))
 
 
 def calibrate(

@@ -114,7 +114,9 @@ def _mean_of_log10(
     lls: np.ndarray, weights: Optional[np.ndarray] = None
 ) -> tuple[float, float, float]:
     """(mean, log10 mean, standard error of the mean) of 10**lls, each term
-    counted `weights` times (once by default), stabilised against underflow."""
+    counted `weights` times (once by default), stabilised against underflow.
+    The mean and its error are inf where they pass the float range; the
+    log10 mean stays finite."""
     m = float(np.max(lls))
     if m == NEG_INF:
         return 0.0, NEG_INF, 0.0
@@ -127,7 +129,8 @@ def _mean_of_log10(
     mean = float(np.sum(w * scaled)) / count
     var = float(np.sum(w * (scaled - mean) ** 2)) / (count - 1) if count > 1 else 0.0
     se = math.sqrt(var) / math.sqrt(count)
-    return 10.0**m * mean, m + math.log10(mean), 10.0**m * se
+    scale = lr_from_log10(m)
+    return scale * mean, m + math.log10(mean), scale * se if se > 0 else 0.0
 
 
 def marginal_quadrature(

@@ -8,10 +8,12 @@ hypothesis's optimum.
 
 Optimisation is bounded quasi-Newton search (L-BFGS-B) on the unit cube of
 the shared `ParamSpace`, multi-started from stratified random draws, as
-EuroForMix fits its MLE (Bleka, Storvik & Gill 2016). Each objective call
-is one batched kernel call that returns the value together with a
-central-difference gradient, one-sided at a bound. A face optimum is
-reached exactly and reported in `MleResult.faces`.
+EuroForMix fits its MLE (Bleka, Storvik & Gill 2016). L-BFGS-B asks for
+one point at a time (Byrd, Lu, Nocedal & Zhu 1995), so `maximize` runs
+every start of every face in lockstep: each round is one batched kernel
+call that scores the pending point of every live run together with the
+steps of its central-difference gradient, one-sided at a bound. A face
+optimum is reached exactly and reported in `MleResult.faces`.
 
 Because the model is discontinuous at template = 0 (a contributor with
 exactly zero template drops out of the likelihood entirely, while an
@@ -30,7 +32,7 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from .genotypes import FrequencyTable, RareAllelePolicy
 from .likelihood import (
@@ -66,6 +68,11 @@ _EXCLUDED_SCALE = 1e3
 # in the objective, yet taking it would re-run every fit warm-started from
 # the old optimum.
 POLISH_MARGIN = 1e-12
+# scipy.optimize.minimize's L-BFGS-B defaults: corrections kept, line-search
+# steps per iteration, the relative-decrease stop (ftol 2.22e-9 over machine
+# epsilon) and the evaluation cap.
+_MAXCOR, _MAXLS, _MAXFUN = 10, 20, 15000
+_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -158,55 +165,120 @@ def _faces(space: ParamSpace, u: np.ndarray) -> tuple[str, ...]:
     return tuple(sorted(faces))
 
 
-def _run_lbfgsb(ev, space, starts, search):
-    """Best (log10, cube point, converged) over L-BFGS-B runs from each
-    start, plus the iterations and parameter points they took."""
-    lower, upper = _lower_bounds(space), np.ones(space.ndim)
-    n = space.ndim
+def _lbfgsb(u0, lower, upper, xtol, max_iter):
+    """L-BFGS-B on the box [lower, upper] from u0, as a generator.
+
+    It yields each point whose value and gradient it needs, is sent back
+    (f, g), and returns (fun, x, nit, success). This is the loop that
+    scipy.optimize.minimize(method="L-BFGS-B", jac=True) runs around the
+    same reverse-communication core, with its default settings and stop
+    rules, so a run takes the same steps and, as scipy caches the last
+    point, asks for each distinct point once.
+    """
+    n = len(u0)
+    x = np.clip(u0, lower, upper).astype(float)
+    nbd = np.full(n, 2, dtype=np.int32)  # both bounds finite
+    wa = np.zeros(2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR**2 + 8 * _MAXCOR)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    last = x.copy()
+    f, g = yield last
+    nfev, nit = 1, 0
+    while True:
+        setulb(_MAXCOR, x, lower, upper, nbd, f, g, _FACTR, xtol, wa, iwa,
+               task, lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == 3:  # wants f and g at x
+            if not np.array_equal(x, last):
+                last = x.copy()
+                f, g = yield last
+                nfev += 1
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= max_iter:
+                task[:] = 5, 504
+            elif nfev > _MAXFUN:
+                task[:] = 5, 502
+        else:
+            break
+    return f, x, nit, bool(task[0] == 4)
+
+
+def _search(ev, faces, search):
+    """L-BFGS-B from every start of every face, all runs in lockstep.
+
+    faces is a list of (space, starts). Each round stacks the pending point
+    of every live run with a step up and a step down each of its axes,
+    each step stopping at the bound, maps each face's block through its
+    space once and scores every face in one kernel call. A run's value is
+    -log10 L at its point and its gradient the central difference, falling
+    back on the centre where a side is excluded. A point the model excludes
+    scores the run's penalty, set at its start. Kernel values do not depend
+    on the batch, so each run takes the steps it would take alone.
+
+    Returns, per face and start, (-log10 L, cube point, iterations, whether
+    the run started on an exclusion), and the parameter points evaluated.
+    """
+    runs = []  # [face index, start index, driver, pending point, penalty]
+    lowers = [_lower_bounds(space) for space, _ in faces]
+    for i, (space, starts) in enumerate(faces):
+        for j, u0 in enumerate(starts):
+            driver = _lbfgsb(u0, lowers[i], np.ones(space.ndim), search.xtol, search.max_iter)
+            runs.append([i, j, driver, next(driver), None])
+    results = [[None] * len(starts) for _, starts in faces]
     evals = 0
-    excluded = None  # the current run's penalty; set at its start point
-
-    def value_and_gradient(u):
-        # one batch: u, then a step up each axis, then a step down each axis,
-        # each step stopping at the bound
-        nonlocal evals, excluded
-        up, down = np.minimum(u + _FD_STEP, upper), np.maximum(u - _FD_STEP, lower)
-        pts = np.repeat(u[None], 2 * n + 1, axis=0)
-        pts[1 : n + 1][np.diag_indices(n)] = up
-        pts[n + 1 :][np.diag_indices(n)] = down
-        ll = ev.marginal_log10(*space.from_cube(pts))
-        evals += len(pts)
-        if excluded is None:
-            excluded = np.inf if ll[0] == NEG_INF else (
-                -ll[0] + _EXCLUDED_SCALE * max(1.0, abs(ll[0]))
-            )
-        if ll[0] == NEG_INF:
-            return excluded, np.zeros(n)
-        # a side the model excludes falls back on the centre point
-        ll_up, ll_down = ll[1 : n + 1], ll[n + 1 :]
-        ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
-        rise = np.where(ok_up, ll_up, ll[0]) - np.where(ok_down, ll_down, ll[0])
-        width = np.where(ok_up, up, u) - np.where(ok_down, down, u)
-        grad = np.divide(rise, width, out=np.zeros(n), where=width > 0)
-        return -ll[0], -grad
-
-    best_ll, best_u, iters, ok = NEG_INF, None, 0, False
-    for u0 in starts:
-        excluded = None
-        r = minimize(
-            value_and_gradient,
-            np.clip(u0, lower, upper),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(lower, upper)),
-            options={"gtol": search.xtol, "maxiter": search.max_iter},
-        )
-        iters += r.nit
-        if excluded == np.inf:  # the run started on a structural exclusion
-            continue
-        if -r.fun > best_ll:
-            best_ll, best_u, ok = -float(r.fun), r.x, bool(r.success)
-    return best_ll, best_u, iters, evals, ok
+    while runs:
+        blocks, params = [], []
+        for i, (space, _) in enumerate(faces):
+            live = [r for r in runs if r[0] == i]
+            if not live:
+                continue
+            n = space.ndim
+            u = np.array([r[3] for r in live])
+            up = np.minimum(u + _FD_STEP, 1.0)
+            down = np.maximum(u - _FD_STEP, lowers[i])
+            pts = np.repeat(u[:, None], 2 * n + 1, axis=1)
+            axis = np.arange(n)
+            pts[:, 1 + axis, axis] = up
+            pts[:, n + 1 + axis, axis] = down
+            blocks.append((live, n, u, up, down))
+            params.append(space.from_cube(pts.reshape(-1, n)))
+        # the faces share every scalar axis and differ only in their templates
+        templates = np.concatenate([p[0] for p in params])
+        scalars = [
+            np.concatenate(vs) if isinstance(vs[0], np.ndarray) else vs[0]
+            for vs in zip(*(p[1:] for p in params))
+        ]
+        ll = ev.marginal_log10(templates, *scalars)
+        evals += len(ll)
+        at = 0
+        for live, n, u, up, down in blocks:
+            block = ll[at : at + len(live) * (2 * n + 1)].reshape(len(live), 2 * n + 1)
+            at += block.size
+            centre = block[:, 0]
+            ok = centre > NEG_INF
+            # no gradient where the centre is excluded; a side the model
+            # excludes falls back on the centre point
+            rows = slice(None) if ok.all() else ok
+            c = centre[rows, None]
+            ll_up, ll_down = block[rows, 1 : n + 1], block[rows, n + 1 :]
+            ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
+            rise = np.where(ok_up, ll_up, c) - np.where(ok_down, ll_down, c)
+            width = np.where(ok_up, up[rows], u[rows]) - np.where(ok_down, down[rows], u[rows])
+            grad = np.zeros((len(live), n))
+            grad[rows] = -np.divide(rise, width, out=np.zeros_like(rise), where=width > 0)
+            for k, run in enumerate(live):
+                if run[4] is None:
+                    run[4] = np.inf if not ok[k] else (
+                        -centre[k] + _EXCLUDED_SCALE * max(1.0, abs(centre[k]))
+                    )
+                try:
+                    run[3] = run[2].send((-centre[k] if ok[k] else run[4], grad[k]))
+                except StopIteration as stop:
+                    results[run[0]][run[1]] = (*stop.value, run[4] == np.inf)
+                    run[3] = None
+        runs = [r for r in runs if r[3] is not None]
+    return results, evals
 
 
 def maximize(
@@ -220,15 +292,16 @@ def maximize(
 ) -> MleResult:
     """Maximise the genotype-marginalised likelihood under one proposition.
 
-    Deterministic given the seed. The search runs face by face, where a
-    face is a tuple of templates pinned to exactly 0: the interior () from
-    n_starts stratified starts; with boundary_passes, every proper face
-    from max(2, n_starts // 4) stratified starts; and the face of each warm
-    start in extra_starts. Each face runs L-BFGS-B once, from its
-    stratified starts plus the warm starts whose zero templates define it;
-    a face that pins every template has nothing to search. Every warm start
-    is also scored as it stands, so a warm start can never be beaten
-    downward. converged is the interior run's.
+    Deterministic given the seed. The search covers faces, where a face is
+    a tuple of templates pinned to exactly 0: the interior () from n_starts
+    stratified starts; with boundary_passes, every proper face from
+    max(2, n_starts // 4) stratified starts; and the face of each warm
+    start in extra_starts. Each face runs L-BFGS-B from its stratified
+    starts plus the warm starts whose zero templates define it, and every
+    run of every face goes in lockstep; a face that pins every template has
+    nothing to search. The best run wins, faces and starts taken in order.
+    Every warm start is also scored as it stands, so a warm start can never
+    be beaten downward. converged is the interior face's best run's.
     """
     config = config or ModelConfig()
     ev = evaluator if evaluator is not None else build_evaluator(
@@ -251,17 +324,24 @@ def maximize(
             sub = ParamSpace(noc, config, search, pinned=face)
             best_ll, best_params, best_faces = ll, w, _faces(sub, sub.to_cube(w))
 
-    iters = evals = 0
+    faces = []
     for face in [*n_strat, *(f for f in warm_by_face if f not in n_strat)]:
         if len(face) == noc:
             continue
         sub = ParamSpace(noc, config, search, pinned=face)
         starts = list(_stratified_starts(sub, n_strat.get(face, 0), rng))
         starts += [sub.to_cube(w) for w in warm_by_face.get(face, ())]
-        ll, u, it, ev_count, ok = _run_lbfgsb(ev, sub, starts, search)
-        iters += it
-        evals += ev_count
-        if face == ():
+        faces.append((sub, starts))
+    results, evals = _search(ev, faces, search)
+
+    iters = 0
+    for (sub, _), runs in zip(faces, results):
+        ll, u, ok = NEG_INF, None, False
+        for fun, x, nit, success, started_excluded in runs:
+            iters += nit
+            if not started_excluded and -fun > ll:
+                ll, u, ok = -float(fun), x, success
+        if sub.pinned == ():
             converged = ok
         if ll > best_ll:
             best_ll, best_params, best_faces = ll, sub.params(u), _faces(sub, u)

@@ -114,6 +114,15 @@ class TestFrequencies:
     def test_logit_round_trip(self, p):
         assert inverse_logit(logit(p)) == pytest.approx(p, abs=1e-12)
 
+    def test_inverse_logit_beyond_the_float_range(self):
+        assert inverse_logit(-400.0) == 0.0
+        assert inverse_logit(400.0) == 1.0
+        assert inverse_logit(-float("inf")) == 0.0
+        assert inverse_logit(float("inf")) == 1.0
+        # ordinary inputs keep their bits
+        for x in (-300.0, -2.5, 0.0, 0.3, 16.2):
+            assert inverse_logit(x) == 1.0 / (1.0 + 10.0**-x)
+
 
 class TestCalibrate:
     def test_counts_conserved(self):

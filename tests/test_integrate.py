@@ -78,6 +78,23 @@ class TestQuadrature:
         )
         assert a.marginal == b.marginal
 
+    def test_marginal_beyond_the_float_range(self, policy):
+        # 120 balanced heterozygote loci at c2 0.05: the largest log10
+        # likelihood on the mesh is above 308, so 10**max is not a float
+        profile = Profile({f"L{i}": [Peak("A", 1000.0), Peak("B", 1000.0)] for i in range(120)}, 50.0)
+        table = FrequencyTable({f"L{i}": {"A": 0.5, "B": 0.5} for i in range(120)}, 500)
+        prior = PriorSpec(c2=0.05, template_hi=3000.0)
+        quad = marginal_quadrature(
+            profile, Proposition(noc=1), table, policy, prior=prior, resolution=64, max_levels=1,
+        )
+        assert quad.marginal == float("inf")
+        assert 308.0 < quad.log10_marginal < float("inf")
+        mc = marginal_monte_carlo(
+            profile, Proposition(noc=1), table, policy, prior=prior, n_samples=1000,
+        )
+        assert mc.marginal == mc.std_error == float("inf")
+        assert 308.0 < mc.log10_marginal < float("inf")
+
 
 # three peaks at one locus with numeric alleles, so back stutter has sources
 MIX_PROFILE = Profile(

@@ -1,15 +1,18 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
-from mixlr import toy
+from mixlr import mle, toy
 from mixlr.likelihood import NEG_INF, MixtureEvaluator, full_log10_likelihood
 from mixlr.genotypes import FrequencyTable, enumerate_sets
 from mixlr.mle import (
     MleResult,
     SearchSpec,
+    _lbfgsb,
     bounded_lrs,
     build_evaluator,
     fit_both,
@@ -265,9 +268,258 @@ class TestEvaluationCount:
             search=SearchSpec(n_starts=2, seed=3), evaluator=ev,
         )
         assert res.function_evals == sum(points)
-        # every objective call is one batch: the point and a step each way
-        # along each of its axes
-        assert set(points) <= {2 * 3 + 1, 2 * 2 + 1}
+        # each call scores every live run: its point and a step each way
+        # along each axis, 7 points in the interior (two templates and c2)
+        # and 5 on a face that pins one template. The 2 interior and 4
+        # boundary runs only ever end, and each call splits one way.
+        live = []
+        for batch in points:
+            (split,) = [(a, b) for a in range(3) for b in range(5) if 7 * a + 5 * b == batch]
+            live.append(split)
+        assert live[0] == (2, 4)
+        assert all(p[0] >= q[0] and p[1] >= q[1] for p, q in zip(live, live[1:]))
+        # fewer calls than the runs would make one after another
+        assert len(points) < sum(a + b for a, b in live)
+
+
+def drive(fun, x0, lower, upper, xtol, max_iter):
+    """(fun, x, nit, success, objective calls) of `mle._lbfgsb` on fun."""
+    driver = _lbfgsb(np.asarray(x0, dtype=float), lower, upper, xtol, max_iter)
+    calls = 0
+    u = next(driver)
+    try:
+        while True:
+            calls += 1
+            u = driver.send(fun(u))
+    except StopIteration as stop:
+        return (*stop.value, calls)
+
+
+def scipy_lbfgsb(fun, x0, lower, upper, xtol, max_iter):
+    """The same five figures from scipy.optimize.minimize."""
+    calls = 0
+
+    def counted(u):
+        nonlocal calls
+        calls += 1
+        return fun(u)
+
+    r = minimize(
+        counted, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
+        options={"gtol": xtol, "maxiter": max_iter},
+    )
+    return r.fun, r.x, r.nit, r.success, calls
+
+
+def toy_objective(profile, table, policy, prop):
+    """-log10 L of the toy kernel on its cube, with a central-difference
+    gradient; a cube box that keeps every template above zero."""
+    ev = build_evaluator(profile, prop, table, policy, ModelConfig())
+    space = ParamSpace(prop.noc, ModelConfig(), SearchSpec())
+
+    def fun(u):
+        steps = np.vstack([u, u + 1e-6 * np.eye(len(u)), u - 1e-6 * np.eye(len(u))])
+        ll = ev.marginal_log10(*space.from_cube(steps))
+        n = len(u)
+        return -ll[0], -(ll[1 : n + 1] - ll[n + 1 :]) / 2e-6
+
+    lower = np.full(space.ndim, 1e-3)
+    return fun, lower, np.full(space.ndim, 1.0 - 1e-3)
+
+
+class TestLbfgsbDriver:
+    """`mle._lbfgsb` loops over scipy's private L-BFGS-B core; it must take
+    the steps scipy.optimize.minimize takes, bit for bit."""
+
+    def assert_same(self, fun, x0, lower, upper, xtol=1e-6, max_iter=500):
+        mine = drive(fun, x0, lower, upper, xtol, max_iter)
+        ref = scipy_lbfgsb(fun, x0, lower, upper, xtol, max_iter)
+        assert repr(float(mine[0])) == repr(float(ref[0]))
+        assert mine[1].tobytes() == ref[1].tobytes()
+        assert mine[2:] == ref[2:]
+        return mine
+
+    def test_quadratic_with_an_active_bound(self):
+        centre = np.array([0.3, 1.4, -0.2])
+
+        def fun(u):
+            return float(np.sum((u - centre) ** 2)), 2 * (u - centre)
+
+        # the start lies outside the box on its first axis and is clipped
+        _, x, _, success, _ = self.assert_same(fun, [1.3, 0.5, 0.5], np.zeros(3), np.ones(3))
+        assert success
+        assert x[1] == 1.0 and x[2] == 0.0
+
+    def test_stopped_by_max_iter(self):
+        def rosenbrock(u):
+            x, y = 4 * u - 2
+            f = (1 - x) ** 2 + 100 * (y - x * x) ** 2
+            g = np.array([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+            return f, 4 * g
+
+        _, _, nit, success, _ = self.assert_same(
+            rosenbrock, [0.1, 0.9], np.zeros(2), np.ones(2), max_iter=3
+        )
+        assert nit == 3 and not success
+
+    def test_toy_kernel_objective(self, toy_profile, toy_table, policy, toy_hp):
+        fun, lower, upper = toy_objective(toy_profile, toy_table, policy, toy_hp)
+        for x0 in ([0.2, 0.7, 0.5], [0.9, 0.1, 0.05]):
+            self.assert_same(fun, x0, lower, upper)
+
+    def test_start_on_an_excluded_point(self):
+        # the left half of the box is excluded: infinite value, no gradient
+        def fun(u):
+            if u[0] < 0.5:
+                return np.inf, np.zeros(2)
+            return float(np.sum((u - 0.7) ** 2)), 2 * (u - 0.7)
+
+        fun_, *_ = self.assert_same(fun, [0.2, 0.4], np.zeros(2), np.ones(2))
+        assert fun_ == np.inf
+
+
+def sequential_maximize(profile, proposition, table, policy, config, search):
+    """`maximize` as it ran before its runs moved into lockstep: face by
+    face, each start through scipy.optimize.minimize on its own, one kernel
+    call per objective call. The oracle for the lockstep search."""
+    ev = build_evaluator(profile, proposition, table, policy, config)
+
+    def run_lbfgsb(space, starts):
+        lower, upper = mle._lower_bounds(space), np.ones(space.ndim)
+        n = space.ndim
+        evals = 0
+        excluded = None
+
+        def value_and_gradient(u):
+            nonlocal evals, excluded
+            up, down = np.minimum(u + mle._FD_STEP, upper), np.maximum(u - mle._FD_STEP, lower)
+            pts = np.repeat(u[None], 2 * n + 1, axis=0)
+            pts[1 : n + 1][np.diag_indices(n)] = up
+            pts[n + 1 :][np.diag_indices(n)] = down
+            ll = ev.marginal_log10(*space.from_cube(pts))
+            evals += len(pts)
+            if excluded is None:
+                excluded = np.inf if ll[0] == NEG_INF else (
+                    -ll[0] + mle._EXCLUDED_SCALE * max(1.0, abs(ll[0]))
+                )
+            if ll[0] == NEG_INF:
+                return excluded, np.zeros(n)
+            ll_up, ll_down = ll[1 : n + 1], ll[n + 1 :]
+            ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
+            rise = np.where(ok_up, ll_up, ll[0]) - np.where(ok_down, ll_down, ll[0])
+            width = np.where(ok_up, up, u) - np.where(ok_down, down, u)
+            grad = np.divide(rise, width, out=np.zeros(n), where=width > 0)
+            return -ll[0], -grad
+
+        best_ll, best_u, iters, ok = NEG_INF, None, 0, False
+        for u0 in starts:
+            excluded = None
+            r = minimize(
+                value_and_gradient, np.clip(u0, lower, upper), jac=True,
+                method="L-BFGS-B", bounds=list(zip(lower, upper)),
+                options={"gtol": search.xtol, "maxiter": search.max_iter},
+            )
+            iters += r.nit
+            if excluded == np.inf:
+                continue
+            if -r.fun > best_ll:
+                best_ll, best_u, ok = -float(r.fun), r.x, bool(r.success)
+        return best_ll, best_u, iters, evals, ok
+
+    rng = np.random.default_rng(search.seed)
+    noc = proposition.noc
+    n_strat = {(): search.n_starts}
+    if search.boundary_passes:
+        n_boundary = max(2, search.n_starts // 4)
+        for size in range(1, noc):
+            n_strat.update((pin, n_boundary) for pin in combinations(range(noc), size))
+    warm_by_face = {}
+    best_ll, best_params, best_faces = NEG_INF, None, ()
+    for w in search.extra_starts:
+        face = tuple(i for i, t in enumerate(w.templates) if t == 0.0)
+        warm_by_face.setdefault(face, []).append(w)
+        ll = ev.marginal_log10_params(w)
+        if ll > best_ll:
+            sub = ParamSpace(noc, config, search, pinned=face)
+            best_ll, best_params, best_faces = ll, w, mle._faces(sub, sub.to_cube(w))
+    iters = evals = 0
+    for face in [*n_strat, *(f for f in warm_by_face if f not in n_strat)]:
+        if len(face) == noc:
+            continue
+        sub = ParamSpace(noc, config, search, pinned=face)
+        starts = list(mle._stratified_starts(sub, n_strat.get(face, 0), rng))
+        starts += [sub.to_cube(w) for w in warm_by_face.get(face, ())]
+        ll, u, it, ev_count, ok = run_lbfgsb(sub, starts)
+        iters += it
+        evals += ev_count
+        if face == ():
+            converged = ok
+        if ll > best_ll:
+            best_ll, best_params, best_faces = ll, sub.params(u), mle._faces(sub, u)
+    if best_params is None:
+        best_params = MassParams(
+            templates=tuple(0.0 for _ in range(noc)),
+            variance_c2=search.c2 if search.c2 is not None else search.c2_bounds[0],
+        )
+        converged = False
+    return MleResult(
+        hypothesis=proposition.label, params=best_params, log10_max=best_ll,
+        converged=converged, n_starts=search.n_starts, iterations=iters,
+        function_evals=evals, faces=best_faces,
+    )
+
+
+TOY = Profile({"L": [Peak("A", 1000.0), Peak("B", 1100.0)]}, 50.0)
+TOY_TABLE = FrequencyTable({"L": {"A": 0.4, "B": 0.4}}, n_individuals=500)
+THREE = Profile(
+    {"L": [Peak("A", 1000.0), Peak("B", 600.0), Peak("C", 250.0)],
+     "M": [Peak("D", 900.0), Peak("E", 500.0)]},
+    50.0,
+)
+THREE_TABLE = FrequencyTable(
+    {"L": {"A": 0.3, "B": 0.3, "C": 0.2}, "M": {"D": 0.4, "E": 0.3}}, n_individuals=500
+)
+STUTTER = Profile({"L": [Peak("12", 800.0), Peak("11", 60.0)]}, 50.0)
+STUTTER_TABLE = FrequencyTable({"L": {"11": 0.2, "12": 0.3}}, n_individuals=500)
+POI_BB = Proposition(noc=2, fixed_contributors={1: {"L": Genotype("B", "B")}}, label="Hp")
+LOCKSTEP_CASES = {
+    "toy_hp": (TOY, TOY_TABLE, POI_BB, ModelConfig(), SearchSpec()),
+    "toy_hd": (TOY, TOY_TABLE, Proposition(noc=1, label="Hd"), ModelConfig(), SearchSpec()),
+    "three_hd_boundary_passes": (
+        THREE, THREE_TABLE, Proposition(noc=3, label="Hd"), ModelConfig(),
+        SearchSpec(n_starts=4, seed=2, xtol=1e-4),
+    ),
+    "warm_starts_with_a_zero_template": (
+        TOY, TOY_TABLE, Proposition(noc=2), ModelConfig(),
+        SearchSpec(
+            n_starts=2, seed=5,
+            extra_starts=(
+                MassParams((900.0, 0.0), 12.0),
+                MassParams((0.0, 1000.0), 5.0),
+                MassParams((600.0, 500.0), 20.0),
+            ),
+        ),
+    ),
+    "excluded_proposition": (
+        TOY, TOY_TABLE, Proposition(noc=1, fixed_contributors={0: {"L": Genotype("C", "C")}}),
+        ModelConfig(), SearchSpec(n_starts=2),
+    ),
+    "excluded_points_mid_run": (
+        STUTTER, STUTTER_TABLE,
+        Proposition(noc=1, fixed_contributors={0: {"L": Genotype("12", "12")}}),
+        ModelConfig(back_stutter=True), SearchSpec(c2=12.0, n_starts=3, seed=1),
+    ),
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_matches_the_sequential_search(self, policy, case):
+        profile, table, prop, config, search = LOCKSTEP_CASES[case]
+        got = maximize(profile, prop, table, policy, config, search)
+        want = sequential_maximize(profile, prop, table, policy, config, search)
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 class TestLrHelpers:
