@@ -173,11 +173,15 @@ def marginal_quadrature(
         points, weights = _midpoint_mesh(n, space.ndim, unknown)
         lls = ev.marginal_log10(*space.from_cube(points))
         value, log10_value, _ = _mean_of_log10(lls, weights)
-        if prev is not None and abs(value - prev) <= rtol * max(abs(value), 1e-300):
-            converged = True
+        if prev is not None and (math.isinf(value) or math.isinf(prev[0])):
+            # beyond the float range inf - inf is nan: the same relative
+            # change, |1 - prev / value|, from the log10 marginals
+            converged = abs(math.expm1((prev[1] - log10_value) * math.log(10))) <= rtol
+        elif prev is not None:
+            converged = abs(value - prev[0]) <= rtol * max(abs(value), 1e-300)
         if converged or level >= max_levels:
             break
-        prev = value
+        prev = value, log10_value
         n *= 2
     return IntegralResult(
         hypothesis=proposition.label,

@@ -228,5 +228,8 @@ def write_calibration_csv(path: str, result: dict, metadata: dict) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
+    """payload as indented JSON. A value JSON cannot hold raises TypeError
+    before the file is opened, so no file is left."""
+    text = json.dumps(payload, indent=2)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
+        fh.write(text)

@@ -10,19 +10,21 @@ Optimisation is bounded quasi-Newton search (L-BFGS-B) on the unit cube of
 the shared `ParamSpace`, multi-started from stratified random draws, as
 EuroForMix fits its MLE (Bleka, Storvik & Gill 2016). L-BFGS-B asks for
 one point at a time (Byrd, Lu, Nocedal & Zhu 1995), so `maximize` runs
-every start of every face in lockstep: each round is one batched kernel
-call that scores the pending point of every live run together with the
-steps of its central-difference gradient, one-sided at a bound. A face
-optimum is reached exactly and reported in `MleResult.faces`.
+every start in lockstep: each round maps one block of points through the
+cube once and scores it in one batched kernel call, the pending point of
+every live run together with the steps of its central-difference
+gradient, one-sided at a bound. A face optimum is reached exactly and
+reported in `MleResult.faces`.
 
 Because the model is discontinuous at template = 0 (a contributor with
 exactly zero template drops out of the likelihood entirely, while an
 arbitrarily small template still pays per-position dropout mass), a free
-template axis stops at a small positive floor, and the search runs face by
-face: a face pins a set of templates to exactly zero. Boundary passes
-search every proper face, and a warm start is searched in the face its
-zero templates define. That makes the fit of a nesting hypothesis provably
-at least as good as any nested one supplied as a warm start.
+template axis stops at a small positive floor, and the search runs over
+faces of the one cube: a face holds a set of template axes at exactly 0,
+and its runs move along the other axes only. Boundary passes search every
+proper face, and a warm start is searched in the face its zero templates
+define. That makes the fit of a nesting hypothesis provably at least as
+good as any nested one supplied as a warm start.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class SearchSpec(ParamBox):
     seed: int = 0
     max_iter: int = 500
     xtol: float = 1e-6
-    # warm starts in natural parameter space; a zero template pins its face
+    # warm starts in natural parameter space; the zero templates of one define its face
     extra_starts: tuple[MassParams, ...] = ()
     boundary_passes: bool = True
 
@@ -106,7 +108,7 @@ class MleResult:
 
     function_evals counts the parameter points evaluated. faces names the
     box faces the optimum touches, as "<axis>_lo" or "<axis>_hi" with the
-    axes of `ParamSpace.axes`; a template pinned to exactly 0 is on its
+    axes of `ParamSpace.axes`; a template held at exactly 0 is on its
     "_lo" face.
     """
 
@@ -140,24 +142,24 @@ class MlLrReport:
 
 def _lower_bounds(space: ParamSpace) -> np.ndarray:
     lower = np.zeros(space.ndim)
-    lower[: len(space.free_templates)] = _TEMPLATE_FLOOR
+    lower[: space.noc] = _TEMPLATE_FLOOR
     return lower
 
 
-def _stratified_starts(space: ParamSpace, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n cube points, each dimension stratified over (0,1)."""
-    fracs = np.empty((n, space.ndim))
-    for d in range(space.ndim):
+def _stratified_starts(ndim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n cube points, each of ndim dimensions stratified over (0,1)."""
+    fracs = np.empty((n, ndim))
+    for d in range(ndim):
         strata = rng.permutation(n)
         fracs[:, d] = (strata + rng.uniform(0.05, 0.95, size=n)) / n
     return fracs
 
 
 def _faces(space: ParamSpace, u: np.ndarray) -> tuple[str, ...]:
-    """The box faces a cube point of `space` touches, pinned templates included."""
-    lower = _lower_bounds(space)
-    faces = [f"template{i}_lo" for i in space.pinned]
-    for name, x, lo in zip(space.axes, u, lower):
+    """The box faces a cube point of `space` touches; a template held at 0
+    is on its "_lo" face."""
+    faces = []
+    for name, x, lo in zip(space.axes, u, _lower_bounds(space)):
         if x <= lo:
             faces.append(f"{name}_lo")
         elif x >= 1.0:
@@ -204,79 +206,77 @@ def _lbfgsb(u0, lower, upper, xtol, max_iter):
     return f, x, nit, bool(task[0] == 4)
 
 
-def _search(ev, faces, search):
-    """L-BFGS-B from every start of every face, all runs in lockstep.
+def _search(ev, space, starts, search):
+    """L-BFGS-B from every start, all runs in lockstep on the cube of `space`.
 
-    faces is a list of (space, starts). Each round stacks the pending point
-    of every live run with a step up and a step down each of its axes,
-    each step stopping at the bound, maps each face's block through its
-    space once and scores every face in one kernel call. A run's value is
-    -log10 L at its point and its gradient the central difference, falling
-    back on the centre where a side is excluded. A point the model excludes
-    scores the run's penalty, set at its start. Kernel values do not depend
-    on the batch, so each run takes the steps it would take alone.
+    starts is a list of (free axes, cube point on them). A run moves along
+    its free axes and holds the other template axes at exactly 0. Each
+    round stacks every live run's pending point with a step up, then a step
+    down, each of its free axes, each step stopping at the bound, maps the
+    whole block through `space` once and scores it in one kernel call. A
+    run's value is -log10 L at its point and its gradient the central
+    difference, falling back on the centre where a side is excluded. A
+    point the model excludes scores the run's penalty, set at its start.
+    Kernel values do not depend on the batch, so each run takes the steps
+    it would take alone.
 
-    Returns, per face and start, (-log10 L, cube point, iterations, whether
+    Returns, per start, (-log10 L, cube point, iterations, success, whether
     the run started on an exclusion), and the parameter points evaluated.
     """
-    runs = []  # [face index, start index, driver, pending point, penalty]
-    lowers = [_lower_bounds(space) for space, _ in faces]
-    for i, (space, starts) in enumerate(faces):
-        for j, u0 in enumerate(starts):
-            driver = _lbfgsb(u0, lowers[i], np.ones(space.ndim), search.xtol, search.max_iter)
-            runs.append([i, j, driver, next(driver), None])
-    results = [[None] * len(starts) for _, starts in faces]
-    evals = 0
+    lower = _lower_bounds(space)
+    runs = []  # [start index, free axes, driver, pending point, penalty]
+    for i, (free, u0) in enumerate(starts):
+        driver = _lbfgsb(u0, lower[free], np.ones(len(free)), search.xtol, search.max_iter)
+        runs.append([i, free, driver, next(driver), None])
+    results = [None] * len(starts)
+    evals, n_live = 0, 0
     while runs:
-        blocks, params = [], []
-        for i, (space, _) in enumerate(faces):
-            live = [r for r in runs if r[0] == i]
-            if not live:
-                continue
-            n = space.ndim
-            u = np.array([r[3] for r in live])
-            up = np.minimum(u + _FD_STEP, 1.0)
-            down = np.maximum(u - _FD_STEP, lowers[i])
-            pts = np.repeat(u[:, None], 2 * n + 1, axis=1)
-            axis = np.arange(n)
-            pts[:, 1 + axis, axis] = up
-            pts[:, n + 1 + axis, axis] = down
-            blocks.append((live, n, u, up, down))
-            params.append(space.from_cube(pts.reshape(-1, n)))
-        # the faces share every scalar axis and differ only in their templates
-        templates = np.concatenate([p[0] for p in params])
-        scalars = [
-            np.concatenate(vs) if isinstance(vs[0], np.ndarray) else vs[0]
-            for vs in zip(*(p[1:] for p in params))
-        ]
-        ll = ev.marginal_log10(templates, *scalars)
+        if len(runs) != n_live:
+            # the block's layout, rebuilt only when a run ends: one entry
+            # per run and free axis, runs in order; a run's rows are its
+            # centre, its up-steps, then its down-steps
+            n_live = len(runs)
+            k = np.array([len(r[1]) for r in runs])
+            axes = np.concatenate([r[1] for r in runs])
+            run_of = np.repeat(np.arange(n_live), k)
+            first, ends = np.cumsum(2 * k + 1) - (2 * k + 1), np.cumsum(k)
+            centre_of = first[run_of]
+            up_rows = centre_of + 1 + np.arange(len(axes)) - (ends - k)[run_of]
+            down_rows = up_rows + k[run_of]
+            lower_axes = lower[axes]
+        x = np.concatenate([r[3] for r in runs])
+        up = np.minimum(x + _FD_STEP, 1.0)
+        down = np.maximum(x - _FD_STEP, lower_axes)
+        pts = np.zeros((n_live, space.ndim))
+        pts[run_of, axes] = x
+        pts = np.repeat(pts, 2 * k + 1, axis=0)
+        pts[up_rows, axes] = up
+        pts[down_rows, axes] = down
+        ll = ev.marginal_log10(*space.from_cube(pts))
         evals += len(ll)
-        at = 0
-        for live, n, u, up, down in blocks:
-            block = ll[at : at + len(live) * (2 * n + 1)].reshape(len(live), 2 * n + 1)
-            at += block.size
-            centre = block[:, 0]
-            ok = centre > NEG_INF
-            # no gradient where the centre is excluded; a side the model
-            # excludes falls back on the centre point
-            rows = slice(None) if ok.all() else ok
-            c = centre[rows, None]
-            ll_up, ll_down = block[rows, 1 : n + 1], block[rows, n + 1 :]
-            ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
-            rise = np.where(ok_up, ll_up, c) - np.where(ok_down, ll_down, c)
-            width = np.where(ok_up, up[rows], u[rows]) - np.where(ok_down, down[rows], u[rows])
-            grad = np.zeros((len(live), n))
-            grad[rows] = -np.divide(rise, width, out=np.zeros_like(rise), where=width > 0)
-            for k, run in enumerate(live):
-                if run[4] is None:
-                    run[4] = np.inf if not ok[k] else (
-                        -centre[k] + _EXCLUDED_SCALE * max(1.0, abs(centre[k]))
-                    )
-                try:
-                    run[3] = run[2].send((-centre[k] if ok[k] else run[4], grad[k]))
-                except StopIteration as stop:
-                    results[run[0]][run[1]] = (*stop.value, run[4] == np.inf)
-                    run[3] = None
+        centre = ll[first]
+        ok = centre > NEG_INF
+        # no gradient where the centre is excluded; a side the model
+        # excludes falls back on the centre point
+        rows = slice(None) if ok.all() else ok[run_of]
+        c = ll[centre_of[rows]]
+        ll_up, ll_down = ll[up_rows[rows]], ll[down_rows[rows]]
+        ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
+        rise = np.where(ok_up, ll_up, c) - np.where(ok_down, ll_down, c)
+        width = np.where(ok_up, up[rows], x[rows]) - np.where(ok_down, down[rows], x[rows])
+        grad = np.zeros(len(axes))
+        grad[rows] = -np.divide(rise, width, out=np.zeros_like(rise), where=width > 0)
+        for run, f, f_ok, end, n in zip(runs, centre, ok, ends, k):
+            if run[4] is None:
+                run[4] = np.inf if not f_ok else -f + _EXCLUDED_SCALE * max(1.0, abs(f))
+            try:
+                run[3] = run[2].send((-f if f_ok else run[4], grad[end - n : end]))
+            except StopIteration as stop:
+                fun, u, nit, success = stop.value
+                point = np.zeros(space.ndim)
+                point[run[1]] = u
+                results[run[0]] = (fun, point, nit, success, run[4] == np.inf)
+                run[3] = None
         runs = [r for r in runs if r[3] is not None]
     return results, evals
 
@@ -292,28 +292,29 @@ def maximize(
 ) -> MleResult:
     """Maximise the genotype-marginalised likelihood under one proposition.
 
-    Deterministic given the seed. The search covers faces, where a face is
-    a tuple of templates pinned to exactly 0: the interior () from n_starts
-    stratified starts; with boundary_passes, every proper face from
-    max(2, n_starts // 4) stratified starts; and the face of each warm
-    start in extra_starts. Each face runs L-BFGS-B from its stratified
-    starts plus the warm starts whose zero templates define it, and every
-    run of every face goes in lockstep; a face that pins every template has
-    nothing to search. The best run wins, faces and starts taken in order.
-    Every warm start is also scored as it stands, so a warm start can never
-    be beaten downward. converged is the interior face's best run's.
+    Deterministic given the seed. The search covers faces of one cube, where
+    a face is a tuple of template axes held at exactly 0: the interior ()
+    from n_starts stratified starts; with boundary_passes, every proper face
+    from max(2, n_starts // 4) stratified starts; and the face of each warm
+    start in extra_starts. Each face runs L-BFGS-B on its free axes from its
+    stratified starts plus the warm starts whose zero templates define it,
+    and every run goes in lockstep; a face that holds every template at 0
+    has nothing to search. The best run wins, faces and starts taken in
+    order. Every warm start is also scored as it stands, so a warm start
+    can never be beaten downward. converged is the best interior run's.
     """
     config = config or ModelConfig()
     ev = evaluator if evaluator is not None else build_evaluator(
         profile, proposition, table, policy, config
     )
+    space = ParamSpace(proposition.noc, config, search)
     rng = np.random.default_rng(search.seed)
     noc = proposition.noc
     n_strat = {(): search.n_starts}
     if search.boundary_passes:
         n_boundary = max(2, search.n_starts // 4)
         for size in range(1, noc):
-            n_strat.update((pin, n_boundary) for pin in combinations(range(noc), size))
+            n_strat.update((face, n_boundary) for face in combinations(range(noc), size))
     warm_by_face: dict[tuple, list[MassParams]] = {}
     best_ll, best_params, best_faces = NEG_INF, None, ()
     for w in search.extra_starts:
@@ -321,30 +322,28 @@ def maximize(
         warm_by_face.setdefault(face, []).append(w)
         ll = ev.marginal_log10_params(w)
         if ll > best_ll:
-            sub = ParamSpace(noc, config, search, pinned=face)
-            best_ll, best_params, best_faces = ll, w, _faces(sub, sub.to_cube(w))
+            best_ll, best_params, best_faces = ll, w, _faces(space, space.to_cube(w))
 
-    faces = []
+    starts = []
     for face in [*n_strat, *(f for f in warm_by_face if f not in n_strat)]:
         if len(face) == noc:
             continue
-        sub = ParamSpace(noc, config, search, pinned=face)
-        starts = list(_stratified_starts(sub, n_strat.get(face, 0), rng))
-        starts += [sub.to_cube(w) for w in warm_by_face.get(face, ())]
-        faces.append((sub, starts))
-    results, evals = _search(ev, faces, search)
+        free = np.array([a for a in range(space.ndim) if a not in face])
+        starts += [(free, u0) for u0 in _stratified_starts(len(free), n_strat.get(face, 0), rng)]
+        starts += [(free, space.to_cube(w)[free]) for w in warm_by_face.get(face, ())]
+    results, evals = _search(ev, space, starts, search)
 
-    iters = 0
-    for (sub, _), runs in zip(faces, results):
-        ll, u, ok = NEG_INF, None, False
-        for fun, x, nit, success, started_excluded in runs:
-            iters += nit
-            if not started_excluded and -fun > ll:
-                ll, u, ok = -float(fun), x, success
-        if sub.pinned == ():
-            converged = ok
-        if ll > best_ll:
-            best_ll, best_params, best_faces = ll, sub.params(u), _faces(sub, u)
+    iters, converged, interior_ll, won = 0, False, NEG_INF, None
+    for (free, _), (fun, u, nit, success, started_excluded) in zip(starts, results):
+        iters += nit
+        if started_excluded:
+            continue
+        if len(free) == space.ndim and -fun > interior_ll:
+            interior_ll, converged = -fun, success
+        if -fun > best_ll:
+            best_ll, won = -float(fun), u
+    if won is not None:
+        best_params, best_faces = space.params(won), _faces(space, won)
 
     if best_params is None:
         # every start and pass stayed at -inf: structural exclusion

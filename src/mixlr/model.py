@@ -265,20 +265,17 @@ class ParamBox:
 class ParamSpace:
     """The free dimensions of a ParamBox under a model config, as a unit cube.
 
-    The axes are the templates not pinned to exactly zero, in contributor
-    order, then c2 when the box leaves it free, then the slope and the back
-    and forward stutter proportions when the config enables them; `axes`
-    names them ("template<i>", "c2", "slope", "bw", "fw"). Every axis is
-    affine in the cube except c2, which is affine in log c2.
+    The axes are every template, in contributor order, then the scalars: c2
+    when the box leaves it free, then the slope and the back and forward
+    stutter proportions when the config enables them; `axes` names them
+    ("template<i>", "c2", "slope", "bw", "fw"). Every axis is affine in the
+    cube except c2, which is affine in log c2. A template axis at 0 decodes
+    to exactly 0.
     """
 
-    def __init__(self, noc: int, config: ModelConfig, box: ParamBox, pinned=()):
+    def __init__(self, noc: int, config: ModelConfig, box: ParamBox):
         self.noc = noc
         self.box = box
-        self.pinned = tuple(sorted(set(pinned)))
-        self.free_templates = np.array(
-            [i for i in range(noc) if i not in self.pinned], dtype=int
-        )
         ranges = {
             "c2": (math.log(box.c2_bounds[0]), math.log(box.c2_bounds[1])),
             "slope": box.slope_bounds,
@@ -292,9 +289,8 @@ class ParamSpace:
             "fw": config.forward_stutter,
         }
         self.scalars = [name for name, on in active.items() if on]
-        self.axes = [f"template{i}" for i in self.free_templates] + self.scalars
-        bounds = [(0.0, box.template_hi)] * len(self.free_templates)
-        bounds += [ranges[name] for name in self.scalars]
+        self.axes = [f"template{i}" for i in range(noc)] + self.scalars
+        bounds = [(0.0, box.template_hi)] * noc + [ranges[name] for name in self.scalars]
         self.ndim = len(bounds)
         lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T
         self._lo = lo
@@ -303,28 +299,22 @@ class ParamSpace:
     def from_cube(self, u: np.ndarray):
         """(batch, ndim) cube points -> (templates, c2, slope, bw, fw).
 
-        templates is (batch, noc), exactly zero for pinned contributors. A
-        scalar with an axis is a (batch,) array; one without is its pinned
-        or neutral value as a float.
+        templates is (batch, noc). A scalar with an axis is a (batch,)
+        array; one without is its pinned or neutral value as a float.
         """
         x = self._lo + u * self._span
-        nt = len(self.free_templates)
-        templates = x[:, :nt]
-        if nt < self.noc:
-            templates = np.zeros((len(x), self.noc))
-            templates[:, self.free_templates] = x[:, :nt]
         scalars = {"c2": self.box.c2, "slope": 1.0, "bw": 0.0, "fw": 0.0}
-        for j, name in enumerate(self.scalars, nt):
+        for j, name in enumerate(self.scalars, self.noc):
             scalars[name] = x[:, j]
         if self.box.c2 is None:
             # exp(log(b)) need not be b: a face of the cube decodes to its
             # bound exactly
-            u_c2 = u[:, nt]
+            u_c2 = u[:, self.noc]
             lo, hi = self.box.c2_bounds
             scalars["c2"] = np.where(
                 u_c2 == 0.0, lo, np.where(u_c2 == 1.0, hi, np.exp(scalars["c2"]))
             )
-        return (templates, *scalars.values())
+        return (x[:, : self.noc], *scalars.values())
 
     def to_cube(self, params: MassParams) -> np.ndarray:
         """The (ndim,) cube point of params; the inverse of from_cube."""
@@ -335,9 +325,7 @@ class ParamSpace:
             "fw": params.fw_stutter_prop,
         }
         x = np.array(
-            [params.templates[i] for i in self.free_templates]
-            + [natural[name] for name in self.scalars],
-            dtype=float,
+            [*params.templates, *(natural[name] for name in self.scalars)], dtype=float
         )
         return (x - self._lo) / self._span
 

@@ -95,6 +95,19 @@ class TestQuadrature:
         assert mc.marginal == mc.std_error == float("inf")
         assert 308.0 < mc.log10_marginal < float("inf")
 
+    def test_refinement_converges_beyond_the_float_range(self, policy):
+        # 400 heterozygote loci: every level's marginal is inf, so the
+        # relative change between levels comes from the log10 marginals
+        profile = Profile({f"L{i}": [Peak("A", 1000.0), Peak("B", 1000.0)] for i in range(400)}, 50.0)
+        table = FrequencyTable({f"L{i}": {"A": 0.5, "B": 0.49} for i in range(400)}, 500)
+        quad = marginal_quadrature(
+            profile, Proposition(noc=1), table, policy,
+            prior=PriorSpec(c2=1.0, template_hi=3000.0), resolution=256, rtol=0.1,
+        )
+        assert quad.marginal == float("inf")
+        assert 308.0 < quad.log10_marginal < float("inf")
+        assert quad.converged and quad.levels < 4
+
 
 # three peaks at one locus with numeric alleles, so back stutter has sources
 MIX_PROFILE = Profile(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import mixlr
@@ -42,6 +43,14 @@ class TestRoundTrips:
         back = mio.read_frequency_table(path)
         assert back.frequencies == toy_table.frequencies
         assert back.n_individuals == toy_table.n_individuals
+
+    def test_json_rejects_a_value_json_cannot_hold(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            mio.write_json(str(path), {"templates": np.array([0, 1])})
+        assert not path.exists()
+        mio.write_json(str(path), {"templates": [0, 1]})
+        assert json.loads(path.read_text()) == {"templates": [0, 1]}
 
     def test_genotype_csv(self, tmp_path):
         g = {"L": Genotype("A", "B"), "M": Genotype("10", "10")}

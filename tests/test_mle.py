@@ -63,18 +63,19 @@ class TestParamSpace:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), noc=st.integers(1, 3))
     def test_cube_round_trip(self, data, noc):
-        # every feature on and c2 free: noc templates minus the pinned ones
-        # plus c2, slope, bw and fw
-        pinned = data.draw(st.sets(st.integers(0, noc - 1), max_size=noc - 1))
-        space = ParamSpace(noc, EVERY_FEATURE, SearchSpec(), pinned=pinned)
-        assert space.ndim == noc - len(pinned) + 4
+        # every feature on and c2 free: noc templates plus c2, slope, bw and
+        # fw; a face holds the drawn template axes at 0
+        space = ParamSpace(noc, EVERY_FEATURE, SearchSpec())
+        assert space.ndim == noc + 4
+        held = sorted(data.draw(st.sets(st.integers(0, noc - 1), max_size=noc - 1)))
         u = np.array(
             data.draw(st.lists(st.floats(0.0, 1.0), min_size=space.ndim, max_size=space.ndim))
         )
+        u[held] = 0.0
         templates = space.from_cube(u[None])[0]
-        assert all(templates[0, i] == 0.0 for i in pinned)
+        assert all(templates[0, i] == 0.0 for i in held)
         params = space.params(u)
-        assert all(params.templates[i] == 0.0 for i in pinned)
+        assert all(params.templates[i] == 0.0 for i in held)
         np.testing.assert_allclose(space.to_cube(params), u, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bounds", [(2.0, 50.0), (4.0, 40.0), (0.3, 7.7)])
@@ -378,14 +379,92 @@ class TestLbfgsbDriver:
         assert fun_ == np.inf
 
 
+class PinnedSpace:
+    """The reduced cube of one face, as `maximize` built it before its faces
+    became template axes held at 0 in one cube: the templates not pinned,
+    then the scalars, with the pinned templates filled in as 0."""
+
+    def __init__(self, noc, config, box, pinned):
+        self.noc, self.box, self.pinned = noc, box, tuple(sorted(pinned))
+        self.free_templates = np.array([i for i in range(noc) if i not in self.pinned], dtype=int)
+        ranges = {
+            "c2": (math.log(box.c2_bounds[0]), math.log(box.c2_bounds[1])),
+            "slope": box.slope_bounds, "bw": (0.0, box.stutter_hi), "fw": (0.0, box.stutter_hi),
+        }
+        active = {
+            "c2": box.c2 is None, "slope": config.degradation,
+            "bw": config.back_stutter, "fw": config.forward_stutter,
+        }
+        self.scalars = [name for name, on in active.items() if on]
+        self.axes = [f"template{i}" for i in self.free_templates] + self.scalars
+        bounds = [(0.0, box.template_hi)] * len(self.free_templates)
+        bounds += [ranges[name] for name in self.scalars]
+        self.ndim = len(bounds)
+        lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T
+        self.lo, self.span = lo, hi - lo
+        self.lower = np.zeros(self.ndim)
+        self.lower[: len(self.free_templates)] = mle._TEMPLATE_FLOOR
+
+    def from_cube(self, u):
+        x = self.lo + u * self.span
+        nt = len(self.free_templates)
+        templates = x[:, :nt]
+        if nt < self.noc:
+            templates = np.zeros((len(x), self.noc))
+            templates[:, self.free_templates] = x[:, :nt]
+        scalars = {"c2": self.box.c2, "slope": 1.0, "bw": 0.0, "fw": 0.0}
+        for j, name in enumerate(self.scalars, nt):
+            scalars[name] = x[:, j]
+        if self.box.c2 is None:
+            lo, hi = self.box.c2_bounds
+            scalars["c2"] = np.where(
+                u[:, nt] == 0.0, lo, np.where(u[:, nt] == 1.0, hi, np.exp(scalars["c2"]))
+            )
+        return (templates, *scalars.values())
+
+    def to_cube(self, params):
+        natural = {
+            "c2": math.log(params.variance_c2), "slope": params.degradation_slope,
+            "bw": params.bw_stutter_prop, "fw": params.fw_stutter_prop,
+        }
+        x = np.array(
+            [params.templates[i] for i in self.free_templates]
+            + [natural[name] for name in self.scalars],
+            dtype=float,
+        )
+        return (x - self.lo) / self.span
+
+    def params(self, u):
+        templates, *scalars = self.from_cube(np.asarray(u, dtype=float).reshape(1, -1))
+        c2, slope, bw, fw = (float(np.ravel(v)[0]) for v in scalars)
+        return MassParams(tuple(templates[0]), c2, slope, bw, fw)
+
+    def faces(self, u):
+        faces = [f"template{i}_lo" for i in self.pinned]
+        for name, x, lo in zip(self.axes, u, self.lower):
+            if x <= lo:
+                faces.append(f"{name}_lo")
+            elif x >= 1.0:
+                faces.append(f"{name}_hi")
+        return tuple(sorted(faces))
+
+    def stratified_starts(self, n, rng):
+        fracs = np.empty((n, self.ndim))
+        for d in range(self.ndim):
+            strata = rng.permutation(n)
+            fracs[:, d] = (strata + rng.uniform(0.05, 0.95, size=n)) / n
+        return fracs
+
+
 def sequential_maximize(profile, proposition, table, policy, config, search):
-    """`maximize` as it ran before its runs moved into lockstep: face by
-    face, each start through scipy.optimize.minimize on its own, one kernel
-    call per objective call. The oracle for the lockstep search."""
+    """`maximize` as it ran before its runs moved into lockstep and its faces
+    into one cube: face by face, each on its own `PinnedSpace`, each start
+    through scipy.optimize.minimize on its own, one kernel call per
+    objective call. The oracle for the lockstep search."""
     ev = build_evaluator(profile, proposition, table, policy, config)
 
     def run_lbfgsb(space, starts):
-        lower, upper = mle._lower_bounds(space), np.ones(space.ndim)
+        lower, upper = space.lower, np.ones(space.ndim)
         n = space.ndim
         evals = 0
         excluded = None
@@ -440,14 +519,14 @@ def sequential_maximize(profile, proposition, table, policy, config, search):
         warm_by_face.setdefault(face, []).append(w)
         ll = ev.marginal_log10_params(w)
         if ll > best_ll:
-            sub = ParamSpace(noc, config, search, pinned=face)
-            best_ll, best_params, best_faces = ll, w, mle._faces(sub, sub.to_cube(w))
+            sub = PinnedSpace(noc, config, search, face)
+            best_ll, best_params, best_faces = ll, w, sub.faces(sub.to_cube(w))
     iters = evals = 0
     for face in [*n_strat, *(f for f in warm_by_face if f not in n_strat)]:
         if len(face) == noc:
             continue
-        sub = ParamSpace(noc, config, search, pinned=face)
-        starts = list(mle._stratified_starts(sub, n_strat.get(face, 0), rng))
+        sub = PinnedSpace(noc, config, search, face)
+        starts = list(sub.stratified_starts(n_strat.get(face, 0), rng))
         starts += [sub.to_cube(w) for w in warm_by_face.get(face, ())]
         ll, u, it, ev_count, ok = run_lbfgsb(sub, starts)
         iters += it
@@ -455,7 +534,7 @@ def sequential_maximize(profile, proposition, table, policy, config, search):
         if face == ():
             converged = ok
         if ll > best_ll:
-            best_ll, best_params, best_faces = ll, sub.params(u), mle._faces(sub, u)
+            best_ll, best_params, best_faces = ll, sub.params(u), sub.faces(u)
     if best_params is None:
         best_params = MassParams(
             templates=tuple(0.0 for _ in range(noc)),
@@ -479,6 +558,12 @@ THREE = Profile(
 THREE_TABLE = FrequencyTable(
     {"L": {"A": 0.3, "B": 0.3, "C": 0.2}, "M": {"D": 0.4, "E": 0.3}}, n_individuals=500
 )
+THREE_STUTTER = Profile(
+    {"L": [Peak("10", 1000.0), Peak("11", 600.0), Peak("12", 300.0), Peak("9", 90.0)]}, 50.0
+)
+THREE_STUTTER_TABLE = FrequencyTable(
+    {"L": {"9": 0.2, "10": 0.3, "11": 0.3, "12": 0.2}}, n_individuals=500
+)
 STUTTER = Profile({"L": [Peak("12", 800.0), Peak("11", 60.0)]}, 50.0)
 STUTTER_TABLE = FrequencyTable({"L": {"11": 0.2, "12": 0.3}}, n_individuals=500)
 POI_BB = Proposition(noc=2, fixed_contributors={1: {"L": Genotype("B", "B")}}, label="Hp")
@@ -499,6 +584,21 @@ LOCKSTEP_CASES = {
                 MassParams((600.0, 500.0), 20.0),
             ),
         ),
+    ),
+    # faces of 5, 4 and 3 axes live in one round, the scalars after the templates
+    "three_hd_stutter_warm_start_on_an_edge": (
+        THREE_STUTTER, THREE_STUTTER_TABLE, Proposition(noc=3, label="Hd"),
+        ModelConfig(back_stutter=True),
+        SearchSpec(
+            n_starts=4, seed=3, xtol=1e-4,
+            extra_starts=(MassParams((1500.0, 0.0, 0.0), 12.0, bw_stutter_prop=0.05),),
+        ),
+    ),
+    # the optimum drops a contributor: a face run wins, while every
+    # interior run stops unconverged at max_iter
+    "face_wins_over_an_unconverged_interior": (
+        TOY, TOY_TABLE, Proposition(noc=2), ModelConfig(),
+        SearchSpec(c2=12.0, n_starts=4, seed=1, max_iter=8),
     ),
     "excluded_proposition": (
         TOY, TOY_TABLE, Proposition(noc=1, fixed_contributors={0: {"L": Genotype("C", "C")}}),
