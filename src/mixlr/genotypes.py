@@ -4,9 +4,13 @@ and the two minimum-allele-probability policies.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-from typing import Mapping, Optional, Sequence
+from itertools import combinations_with_replacement
+from typing import Mapping, Optional
+
+import numpy as np
 
 from .model import Q_ALLELE, Genotype, GenotypeSet, ModelConfig, Profile, Proposition, shift_allele
 
@@ -190,6 +194,31 @@ def q_residual_mass(table: FrequencyTable, locus: str, candidates: Sequence[str]
     return max(0.0, 1.0 - used)
 
 
+class LocusSets(Sequence):
+    """One locus's genotype sets under a proposition, as index arrays.
+
+    `genotypes` lists the genotypes a contributor slot can take: the
+    unknowns' candidate genotypes, then each fixed contributor's genotype.
+    `index` (sets, contributors) names each set's genotype per slot, and
+    `priors` (sets,) holds each set's prior. The items are
+    `WeightedGenotypeSet`s, built on demand for the scalar oracle; the
+    batch evaluator reads the arrays.
+    """
+
+    def __init__(self, genotypes: Sequence[Genotype], index: np.ndarray, priors: np.ndarray):
+        self.genotypes = tuple(genotypes)
+        self.index = index
+        self.priors = priors
+
+    def __len__(self) -> int:
+        return len(self.priors)
+
+    def __getitem__(self, i) -> WeightedGenotypeSet:
+        i = operator.index(i)
+        gset = GenotypeSet([self.genotypes[g] for g in self.index[i]])
+        return WeightedGenotypeSet(gset, float(self.priors[i]))
+
+
 def enumerate_locus_sets(
     profile: Profile,
     proposition: Proposition,
@@ -197,41 +226,36 @@ def enumerate_locus_sets(
     policy: RareAllelePolicy,
     locus: str,
     config: Optional[ModelConfig] = None,
-) -> list[WeightedGenotypeSet]:
+) -> LocusSets:
     """All genotype sets for one locus compatible with the proposition.
 
     Fixed contributors appear verbatim with prior factor 1; unknown
     contributors range over unordered pairs of the candidate alleles with
-    Hardy-Weinberg priors. Priors are not renormalised: for each
-    hypothesis they sum to 1 by the product measure (the Q allele absorbs
-    the residual frequency mass).
+    Hardy-Weinberg priors. The sets come in `itertools.product` order over
+    the unknowns' candidate genotypes, the last unknown varying fastest,
+    and a set's prior is the product of its unknowns' genotype priors
+    taken in slot order. Priors are not renormalised: for each hypothesis
+    they sum to 1 by the product measure (the Q allele absorbs the
+    residual frequency mass).
     """
     cands = candidate_alleles(profile, locus, config)
     residual = q_residual_mass(table, locus, cands)
     genotypes = [Genotype(a, b) for a, b in combinations_with_replacement(cands, 2)]
-    priors = [genotype_prior(g, table, policy, locus, residual) for g in genotypes]
+    priors = np.array([genotype_prior(g, table, policy, locus, residual) for g in genotypes])
 
-    fixed: dict[int, Genotype] = {}
-    for idx, multi in proposition.fixed_contributors.items():
+    unknown = list(proposition.unknown_indices)
+    n_sets = len(genotypes) ** len(unknown)
+    index = np.empty((n_sets, proposition.noc), dtype=np.intp)
+    index[:, unknown] = np.indices((len(genotypes),) * len(unknown)).reshape(-1, n_sets).T
+    for idx, multi in sorted(proposition.fixed_contributors.items()):
         if locus not in multi:
             raise ValueError(f"fixed contributor {idx} has no genotype at locus {locus}")
-        fixed[idx] = multi[locus]
-
-    unknown = proposition.unknown_indices
-    out: list[WeightedGenotypeSet] = []
-    if not unknown:
-        gset = GenotypeSet([fixed[i] for i in range(proposition.noc)])
-        return [WeightedGenotypeSet(gset, 1.0)]
-    for combo in product(range(len(genotypes)), repeat=len(unknown)):
-        slots: list[Genotype] = [None] * proposition.noc  # type: ignore[list-item]
-        prior = 1.0
-        for slot, gi in zip(unknown, combo):
-            slots[slot] = genotypes[gi]
-            prior *= priors[gi]
-        for idx, g in fixed.items():
-            slots[idx] = g
-        out.append(WeightedGenotypeSet(GenotypeSet(slots), prior))
-    return out
+        index[:, idx] = len(genotypes)
+        genotypes.append(multi[locus])
+    set_priors = np.ones(n_sets)
+    for slot in unknown:
+        set_priors *= priors[index[:, slot]]
+    return LocusSets(genotypes, index, set_priors)
 
 
 def enumerate_sets(
@@ -240,7 +264,7 @@ def enumerate_sets(
     table: FrequencyTable,
     policy: RareAllelePolicy,
     config: Optional[ModelConfig] = None,
-) -> dict[str, list[WeightedGenotypeSet]]:
+) -> dict[str, LocusSets]:
     """Per-locus genotype-set enumeration for a proposition.
 
     The profile likelihood factorises over loci given the mass parameters,

@@ -48,7 +48,13 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .genotypes import FrequencyTable, RareAllelePolicy, WeightedGenotypeSet, enumerate_sets
+from .genotypes import (
+    FrequencyTable,
+    LocusSets,
+    RareAllelePolicy,
+    WeightedGenotypeSet,
+    enumerate_sets,
+)
 from .model import (
     GenotypeSet,
     MassParams,
@@ -350,7 +356,11 @@ class LocusEvaluator:
     (see `live_sets`), lays out the copy-number tensor with the observed
     positions first, notes which model terms the config and the fragment
     sizes leave neutral, and reduces the tensor to its distinct expectation
-    rows.
+    rows. It reads the enumeration's index arrays (`LocusSets`) and makes no
+    object per set: a set is live by the positions its slot genotypes carry,
+    the copy tensor is one gather, by the live sets' (sets, contributors)
+    index, of each slot genotype's copy row, and the other positions follow
+    in the order the sets first show their alleles.
 
     The expected height of a set at position p is
     deg(p) * (sum_c t_c W[c, p] + bw sum_c t_c W[c, p+1] + fw sum_c t_c W[c, p-1]),
@@ -378,7 +388,7 @@ class LocusEvaluator:
     def __init__(
         self,
         profile: Profile,
-        weighted_sets: Sequence[WeightedGenotypeSet],
+        sets: LocusSets,
         locus: str,
         config: Optional[ModelConfig] = None,
     ):
@@ -386,29 +396,36 @@ class LocusEvaluator:
         peaks = profile.peaks(locus)
         self.locus = locus
         self.threshold = profile.analytical_threshold
-        self.n_contrib = len(weighted_sets[0].set)
+        self.n_contrib = sets.index.shape[1]
 
-        # every allele of the enumeration, observed peaks first
+        # every allele of the enumeration, observed peaks first, then in the
+        # order the sets first show them: the genotypes in the order of
+        # their first appearance in the index, each one's alleles in order
+        _, first = np.unique(sets.index, return_index=True)
+        shown = sets.index.reshape(-1)[np.sort(first)]
         positions: list[str] = [p.allele for p in peaks]
         pos_index = {a: i for i, a in enumerate(positions)}
-        for ws in weighted_sets:
-            for g in ws.set:
-                for a in g.alleles:
-                    if a not in pos_index:
-                        pos_index[a] = len(positions)
-                        positions.append(a)
-        copies = np.zeros((len(weighted_sets), self.n_contrib, len(positions)))
-        for s, ws in enumerate(weighted_sets):
-            for c, g in enumerate(ws.set):
-                for a in g.alleles:
-                    copies[s, c, pos_index[a]] += 1.0
+        for g in shown:
+            for a in sets.genotypes[g].alleles:
+                if a not in pos_index:
+                    pos_index[a] = len(positions)
+                    positions.append(a)
+        # each slot genotype's copies per position, and (sets, positions):
+        # whether any contributor of a set carries an allele there
+        genotype_copies = np.zeros((len(sets.genotypes), len(positions)))
+        for g in shown:
+            for a in sets.genotypes[g].alleles:
+                genotype_copies[g, pos_index[a]] += 1.0
+        carries = genotype_copies > 0
+        carried = carries[sets.index[:, 0]]
+        for column in sets.index.T[1:]:
+            carried |= carries[column]
 
         # A peak at a gets expectation from an allelic copy at a, from its
         # back-stutter parent one repeat above, or from its forward-stutter
         # source one repeat below, each only when that stutter is modelled.
         shifts = [d for d, on in ((+1, config.back_stutter), (-1, config.forward_stutter)) if on]
-        carried = copies.sum(axis=1) > 0
-        live = np.ones(len(weighted_sets), dtype=bool)
+        live = np.ones(len(sets), dtype=bool)
         for i, p in enumerate(peaks):
             cover = [i] + [
                 pos_index[t]
@@ -428,11 +445,12 @@ class LocusEvaluator:
                 t = shift_allele(positions[j], -d)
                 if t is not None and t not in self.positions:
                     self.positions.append(t)
-        # (contributors, positions, live sets)
+        # (contributors, positions, live sets): one gather of the live sets'
+        # per-genotype copy rows; no float copies are made for dead sets
         work = np.zeros((self.n_contrib, len(self.positions), len(self.live_sets)))
-        work[:, : len(kept)] = copies[live][:, :, kept].transpose(1, 2, 0)
+        work[:, : len(kept)] = genotype_copies[:, kept][sets.index[live]].transpose(1, 2, 0)
         self.copies = work.transpose(2, 0, 1)
-        self.log10_priors = np.log10(np.array([weighted_sets[s].prior for s in self.live_sets]))
+        self.log10_priors = np.log10(sets.priors[self.live_sets])
         self._ln_threshold = math.log(self.threshold)
 
         index = {a: i for i, a in enumerate(self.positions)}
@@ -572,13 +590,13 @@ class MixtureEvaluator:
     def __init__(
         self,
         profile: Profile,
-        weighted_sets: Mapping[str, Sequence[WeightedGenotypeSet]],
+        sets: Mapping[str, LocusSets],
         config: Optional[ModelConfig] = None,
     ):
         config = config or ModelConfig()
         self.profile = profile
         self.evaluators = [
-            LocusEvaluator(profile, weighted_sets[locus], locus, config=config)
+            LocusEvaluator(profile, sets[locus], locus, config=config)
             for locus in profile.loci
         ]
         self.n_contrib = self.evaluators[0].n_contrib if self.evaluators else 0

@@ -301,7 +301,9 @@ def maximize(
     and every run goes in lockstep; a face that holds every template at 0
     has nothing to search. The best run wins, faces and starts taken in
     order. Every warm start is also scored as it stands, so a warm start
-    can never be beaten downward. converged is the best interior run's.
+    can never be beaten downward. converged is that of the run whose point
+    is reported; for a warm start reported as it stands, that of the run
+    started from it.
     """
     config = config or ModelConfig()
     ev = evaluator if evaluator is not None else build_evaluator(
@@ -315,33 +317,35 @@ def maximize(
         n_boundary = max(2, search.n_starts // 4)
         for size in range(1, noc):
             n_strat.update((face, n_boundary) for face in combinations(range(noc), size))
-    warm_by_face: dict[tuple, list[MassParams]] = {}
-    best_ll, best_params, best_faces = NEG_INF, None, ()
-    for w in search.extra_starts:
+    warm_by_face: dict[tuple, list[int]] = {}
+    best_ll, best_params, best_faces, best_warm = NEG_INF, None, (), None
+    for j, w in enumerate(search.extra_starts):
         face = tuple(i for i, t in enumerate(w.templates) if t == 0.0)
-        warm_by_face.setdefault(face, []).append(w)
+        warm_by_face.setdefault(face, []).append(j)
         ll = ev.marginal_log10_params(w)
         if ll > best_ll:
-            best_ll, best_params, best_faces = ll, w, _faces(space, space.to_cube(w))
+            best_ll, best_params, best_warm = ll, w, j
+            best_faces = _faces(space, space.to_cube(w))
 
-    starts = []
+    starts, warm_run = [], {}
     for face in [*n_strat, *(f for f in warm_by_face if f not in n_strat)]:
         if len(face) == noc:
             continue
         free = np.array([a for a in range(space.ndim) if a not in face])
         starts += [(free, u0) for u0 in _stratified_starts(len(free), n_strat.get(face, 0), rng)]
-        starts += [(free, space.to_cube(w)[free]) for w in warm_by_face.get(face, ())]
+        for j in warm_by_face.get(face, ()):
+            warm_run[j] = len(starts)
+            starts.append((free, space.to_cube(search.extra_starts[j])[free]))
     results, evals = _search(ev, space, starts, search)
 
-    iters, converged, interior_ll, won = 0, False, NEG_INF, None
-    for (free, _), (fun, u, nit, success, started_excluded) in zip(starts, results):
+    # converged is the reported point's run: a warm start reported as it
+    # stands takes the run started from it
+    converged = best_warm in warm_run and results[warm_run[best_warm]][3]
+    iters, won = 0, None
+    for fun, u, nit, success, started_excluded in results:
         iters += nit
-        if started_excluded:
-            continue
-        if len(free) == space.ndim and -fun > interior_ll:
-            interior_ll, converged = -fun, success
-        if -fun > best_ll:
-            best_ll, won = -float(fun), u
+        if not started_excluded and -fun > best_ll:
+            best_ll, won, converged = -float(fun), u, success
     if won is not None:
         best_params, best_faces = space.params(won), _faces(space, won)
 

@@ -241,9 +241,13 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
     """Simulate cases and score every candidate POI with every engine.
 
     Per case the Hd work (fit or marginal) is done once and shared across
-    candidates; the Hd optimum also warm-starts each Hp fit. Each
-    proposition's genotype sets are enumerated and wrapped in an evaluator
-    once, and both engines score it through that evaluator. A case lists
+    candidates; the Hd optimum also warm-starts each Hp fit. A case scores
+    each distinct candidate once: candidates with the same genotypes at
+    the profile's loci share one Hp evaluator, fit and marginal, so a
+    repeat's records are its first occurrence's but for the donor label.
+    Each proposition's genotype sets are enumerated and wrapped in an
+    evaluator once, and both engines score it through that evaluator.
+    Nothing is kept from one case to the next. A case lists
     its MLE records before its INT records. An exception from either
     engine propagates and ends the study; a structural exclusion is not a
     failure but a record with no LR.
@@ -274,14 +278,15 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
             for _ in range(cfg.n_nondonors_per_case)
         ]
         hd = Proposition(noc=cfg.noc, label=HD)
-        hps = [_hp_proposition(cfg.noc, poi) for _, poi in candidates]
+        hp_donor = _hp_proposition(cfg.noc, donors[0])
         engine_seeds = {e: s for e, s in zip(cfg.engines, eng_seq.spawn(len(cfg.engines)))}
 
         def evaluator(prop):
             return build_evaluator(profile, prop, cfg.table, cfg.policy, cfg.config)
 
         # the true donor's Hp evaluator also serves the MLE Hd probe
-        ev_d, ev_donor = evaluator(hd), evaluator(hps[0])
+        ev_d, ev_donor = evaluator(hd), evaluator(hp_donor)
+        donor_fit = None
 
         if ENGINE_MLE in cfg.engines:
             # the study's box, so the engines differ only in maximising
@@ -312,7 +317,7 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
             # can only raise the Hd maximum. The probe is the donor's own
             # fit unless Hd moves.
             donor_fit = maximize(
-                profile, hps[0], cfg.table, cfg.policy, cfg.config, warm,
+                profile, hp_donor, cfg.table, cfg.policy, cfg.config, warm,
                 evaluator=ev_donor,
             )
             if donor_fit.log10_max > NEG_INF:
@@ -349,20 +354,36 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
 
             int_d = int_marginal(hd, ev_d)
 
-        # one candidate's evaluator at a time, so memory does not grow with
-        # the number of candidates
-        mle_records, int_records = [], []
-        for i, ((donor_label, _), hp) in enumerate(zip(candidates, hps)):
-            ev_p = ev_donor if i == 0 else evaluator(hp)
-            if ENGINE_MLE in cfg.engines:
-                res_p = donor_fit if i == 0 and donor_fit is not None else maximize(
+        def score(hp, ev_p, res_p=None):
+            """The Hp MLE fit, unless one is given, and the Hp INT marginal."""
+            if ENGINE_MLE in cfg.engines and res_p is None:
+                res_p = maximize(
                     profile, hp, cfg.table, cfg.policy, cfg.config, warm, evaluator=ev_p
                 )
+            int_p = int_marginal(hp, ev_p) if ENGINE_INT in cfg.engines else None
+            return res_p, int_p
+
+        def key(poi):
+            return tuple(poi[locus] for locus in profile.loci)
+
+        # (Hp fit, Hp marginal) per distinct candidate, keyed by its
+        # genotypes at the profile's loci: both depend only on the evaluator,
+        # the warm start and the prior, so a repeat takes its first
+        # occurrence's. The donor probe's fit is the donor's entry. One Hp
+        # evaluator is built at a time, so memory does not grow with the
+        # number of candidates.
+        scored = {key(donors[0]): score(hp_donor, ev_donor, donor_fit)}
+        mle_records, int_records = [], []
+        for donor_label, poi in candidates:
+            k = key(poi)
+            if k not in scored:
+                hp = _hp_proposition(cfg.noc, poi)
+                scored[k] = score(hp, evaluator(hp))
+            res_p, int_p = scored[k]
+            if ENGINE_MLE in cfg.engines:
                 mle_records.append(_mle_record(case_id, donor_label, res_p, res_d))
             if ENGINE_INT in cfg.engines:
-                int_records.append(
-                    _int_record(case_id, donor_label, int_marginal(hp, ev_p), int_d)
-                )
+                int_records.append(_int_record(case_id, donor_label, int_p, int_d))
         records += mle_records + int_records
     return records
 

@@ -1,11 +1,14 @@
 import math
+from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mixlr.genotypes import (
     FrequencyTable,
     RareAllelePolicy,
+    WeightedGenotypeSet,
     candidate_alleles,
     enumerate_locus_sets,
     enumerate_sets,
@@ -13,7 +16,15 @@ from mixlr.genotypes import (
     q_residual_mass,
     rare_allele_probability,
 )
-from mixlr.model import Genotype, ModelConfig, Peak, Profile, Proposition, Q_ALLELE
+from mixlr.model import (
+    Genotype,
+    GenotypeSet,
+    ModelConfig,
+    Peak,
+    Profile,
+    Proposition,
+    Q_ALLELE,
+)
 
 
 @pytest.fixture
@@ -126,6 +137,67 @@ class TestEnumeration:
         assert set(out) == {"L", "M"}
         for sets in out.values():
             assert sum(ws.prior for ws in sets) == pytest.approx(1.0, abs=1e-9)
+
+
+def _product_reference(profile, prop, table, policy, locus):
+    """(slot genotypes, prior) per set: a loop over itertools.product of the
+    unknowns' candidate genotypes, the prior multiplied in slot order."""
+    cands = candidate_alleles(profile, locus)
+    residual = q_residual_mass(table, locus, cands)
+    genotypes = [Genotype(a, b) for a, b in combinations_with_replacement(cands, 2)]
+    priors = [genotype_prior(g, table, policy, locus, residual) for g in genotypes]
+    out = []
+    for combo in product(range(len(genotypes)), repeat=len(prop.unknown_indices)):
+        slots = [prop.fixed_contributors[i][locus] if i in prop.fixed_contributors else None
+                 for i in range(prop.noc)]
+        prior = 1.0
+        for slot, g in zip(prop.unknown_indices, combo):
+            slots[slot] = genotypes[g]
+            prior *= priors[g]
+        out.append((tuple(slots), prior))
+    return out
+
+
+class TestEnumerationArrays:
+    """The index arrays against an itertools.product reference, bit for bit."""
+
+    PROFILE = Profile({"L": [Peak("A", 900.0), Peak("B", 500.0), Peak("C", 300.0)]}, 50.0)
+    TABLE = FrequencyTable({"L": {"A": 0.3, "B": 0.25, "C": 0.2, "D": 0.1}}, n_individuals=500)
+    AB, CD = Genotype("A", "B"), Genotype("C", "D")
+
+    @pytest.mark.parametrize(
+        "noc, fixed",
+        [
+            (1, {}),
+            (2, {0: AB}),
+            (2, {1: AB}),
+            (3, {1: AB}),
+            (3, {0: AB, 2: CD}),  # D is no candidate: it shows no peak
+            (2, {0: AB, 1: CD}),  # no unknowns
+            (3, {}),  # 10**3 sets
+        ],
+    )
+    def test_order_and_priors_match_itertools_product(self, noc, fixed):
+        prop = Proposition(noc=noc, fixed_contributors={i: {"L": g} for i, g in fixed.items()})
+        policy = RareAllelePolicy.five_over_2n()
+        sets = enumerate_locus_sets(self.PROFILE, prop, self.TABLE, policy, "L")
+        want = _product_reference(self.PROFILE, prop, self.TABLE, policy, "L")
+        assert len(sets) == len(want) == 10 ** (noc - len(fixed))
+        assert sets.index.shape == (len(want), noc)
+        assert [tuple(sets.genotypes[g] for g in row) for row in sets.index] == [
+            slots for slots, _ in want
+        ]
+        assert [p.hex() for p in sets.priors.tolist()] == [p.hex() for _, p in want]
+        if noc == len(fixed):
+            assert sets.priors.tolist() == [1.0]
+        # items, indexed as `sets[i] for i in lev.live_sets` does
+        for i in np.unique(np.linspace(0, len(want) - 1, 7).astype(np.int64)):
+            slots, prior = want[i]
+            item = sets[i]
+            assert item == WeightedGenotypeSet(GenotypeSet(slots), prior)
+            assert item.prior.hex() == prior.hex()
+        assert sets[-1] == WeightedGenotypeSet(GenotypeSet(want[-1][0]), want[-1][1])
+        assert [ws.set.contributors for ws in sets] == [slots for slots, _ in want]
 
 
 def test_candidate_alleles_include_stutter_parents():

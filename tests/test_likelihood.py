@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from mixlr import likelihood
-from mixlr.genotypes import RareAllelePolicy, FrequencyTable, enumerate_sets
+from mixlr.genotypes import (
+    FrequencyTable,
+    RareAllelePolicy,
+    WeightedGenotypeSet,
+    enumerate_sets,
+)
 from mixlr.likelihood import (
     NEG_INF,
     MixtureEvaluator,
@@ -506,3 +511,24 @@ class TestDistinctRows:
         per_position = np.bincount(lev.row_positions, minlength=n_pos)
         assert per_position.max() <= 3**3
         assert len(lev.row_positions) * 10 < len(lev.live_sets) * n_pos
+
+
+def test_build_makes_no_per_set_objects(policy, monkeypatch):
+    # the 1000-set Hd of three unknowns at one locus showing all three
+    # alleles is built from index arrays, never from one object per set
+    made = []
+    for cls in (GenotypeSet, WeightedGenotypeSet):
+        real = cls.__init__
+
+        def counting(self, *args, _real=real, **kwargs):
+            made.append(type(self))
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    profile = Profile(
+        {"L": [Peak("10", 900.0), Peak("11", 600.0), Peak("12", 300.0)]}, 50.0
+    )
+    table = FrequencyTable({"L": {"10": 0.33, "11": 0.33, "12": 0.32}}, n_individuals=500)
+    likelihood.build_evaluator(profile, Proposition(noc=3), table, policy)
+    assert len(enumerate_sets(profile, Proposition(noc=3), table, policy)["L"]) == 1000
+    assert made == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -490,7 +491,7 @@ def sequential_maximize(profile, proposition, table, policy, config, search):
             grad = np.divide(rise, width, out=np.zeros(n), where=width > 0)
             return -ll[0], -grad
 
-        best_ll, best_u, iters, ok = NEG_INF, None, 0, False
+        best_ll, best_u, iters, ok, oks = NEG_INF, None, 0, False, []
         for u0 in starts:
             excluded = None
             r = minimize(
@@ -499,11 +500,12 @@ def sequential_maximize(profile, proposition, table, policy, config, search):
                 options={"gtol": search.xtol, "maxiter": search.max_iter},
             )
             iters += r.nit
+            oks.append(bool(r.success))
             if excluded == np.inf:
                 continue
             if -r.fun > best_ll:
                 best_ll, best_u, ok = -float(r.fun), r.x, bool(r.success)
-        return best_ll, best_u, iters, evals, ok
+        return best_ll, best_u, iters, evals, ok, oks
 
     rng = np.random.default_rng(search.seed)
     noc = proposition.noc
@@ -513,7 +515,7 @@ def sequential_maximize(profile, proposition, table, policy, config, search):
         for size in range(1, noc):
             n_strat.update((pin, n_boundary) for pin in combinations(range(noc), size))
     warm_by_face = {}
-    best_ll, best_params, best_faces = NEG_INF, None, ()
+    best_ll, best_params, best_faces, best_warm = NEG_INF, None, (), None
     for w in search.extra_starts:
         face = tuple(i for i, t in enumerate(w.templates) if t == 0.0)
         warm_by_face.setdefault(face, []).append(w)
@@ -521,20 +523,25 @@ def sequential_maximize(profile, proposition, table, policy, config, search):
         if ll > best_ll:
             sub = PinnedSpace(noc, config, search, face)
             best_ll, best_params, best_faces = ll, w, sub.faces(sub.to_cube(w))
+            best_warm = (face, len(warm_by_face[face]) - 1)
+    # converged is the reported point's run; a warm start reported as it
+    # stands takes the run started from it
     iters = evals = 0
+    converged = False
     for face in [*n_strat, *(f for f in warm_by_face if f not in n_strat)]:
         if len(face) == noc:
             continue
         sub = PinnedSpace(noc, config, search, face)
         starts = list(sub.stratified_starts(n_strat.get(face, 0), rng))
         starts += [sub.to_cube(w) for w in warm_by_face.get(face, ())]
-        ll, u, it, ev_count, ok = run_lbfgsb(sub, starts)
+        ll, u, it, ev_count, ok, oks = run_lbfgsb(sub, starts)
         iters += it
         evals += ev_count
-        if face == ():
-            converged = ok
+        if best_warm is not None and best_warm[0] == face:
+            converged = oks[n_strat.get(face, 0) + best_warm[1]]
         if ll > best_ll:
-            best_ll, best_params, best_faces = ll, sub.params(u), sub.faces(u)
+            best_ll, best_params, best_faces, converged = ll, sub.params(u), sub.faces(u), ok
+            best_warm = None
     if best_params is None:
         best_params = MassParams(
             templates=tuple(0.0 for _ in range(noc)),
@@ -594,8 +601,8 @@ LOCKSTEP_CASES = {
             extra_starts=(MassParams((1500.0, 0.0, 0.0), 12.0, bw_stutter_prop=0.05),),
         ),
     ),
-    # the optimum drops a contributor: a face run wins, while every
-    # interior run stops unconverged at max_iter
+    # the optimum drops a contributor: a face run wins, and converges,
+    # while every interior run stops unconverged at max_iter
     "face_wins_over_an_unconverged_interior": (
         TOY, TOY_TABLE, Proposition(noc=2), ModelConfig(),
         SearchSpec(c2=12.0, n_starts=4, seed=1, max_iter=8),
@@ -620,6 +627,21 @@ class TestLockstep:
         want = sequential_maximize(profile, prop, table, policy, config, search)
         assert got == want
         assert repr(got) == repr(want)
+
+    def test_converged_is_the_reported_runs(self, policy):
+        profile, table, prop, config, search = LOCKSTEP_CASES[
+            "face_wins_over_an_unconverged_interior"
+        ]
+        res = maximize(profile, prop, table, policy, config, search)
+        assert res.faces == ("template0_lo",) and res.converged
+        # that face optimum as a warm start is reported as it stands: its run
+        # converges, while the one interior run stops at max_iter
+        again = replace(
+            search, n_starts=1, max_iter=1, boundary_passes=False, extra_starts=(res.params,)
+        )
+        warm = maximize(profile, prop, table, policy, config, again)
+        assert warm.params is res.params and warm.converged
+        assert warm == sequential_maximize(profile, prop, table, policy, config, again)
 
 
 class TestLrHelpers:

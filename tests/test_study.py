@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -109,6 +111,25 @@ class TestGenotypes:
         assert g["L"] == Genotype("A", "A")
 
 
+def _key(profile, poi):
+    """A candidate's genotypes at the profile's loci."""
+    return tuple(poi[locus] for locus in profile.loci)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The non-donors run_study draws, in order."""
+    out = []
+    real = study_mod.gen_nondonor
+
+    def recording(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(study_mod, "gen_nondonor", recording)
+    return out
+
+
 class TestRunStudy:
     def _config(self, **kw):
         base = dict(
@@ -153,28 +174,38 @@ class TestRunStudy:
             assert "n_c2_on_face" not in g
             assert "n_c2_on_face" in groups[f"{ENGINE_MLE}/{label}"]
 
-    def test_one_evaluator_per_proposition(self, monkeypatch):
+    def test_one_evaluator_per_proposition(self, monkeypatch, drawn):
         built = []
         real = study_mod.build_evaluator
 
         def counting(profile, prop, *args):
-            built.append(prop)
+            built.append((profile, prop))
             return real(profile, prop, *args)
 
         monkeypatch.setattr(study_mod, "build_evaluator", counting)
         cfg = self._config(engines=(ENGINE_MLE, ENGINE_INT))
         records = run_study(cfg, seed=1)
-        # per case: Hd, and the Hp of the true donor and of each non-donor
-        assert len(built) == cfg.n_cases * (2 + cfg.n_nondonors_per_case)
         assert len({r.case_id for r in records}) == cfg.n_cases
+        # per case: Hd, then the Hp of each distinct candidate in order of
+        # first appearance, the true donor first
+        hds = [i for i, (_, prop) in enumerate(built) if prop.label == HD]
+        assert len(hds) == cfg.n_cases
+        n, repeats = cfg.n_nondonors_per_case, 0
+        for case, (lo, hi) in enumerate(zip(hds, hds[1:] + [len(built)])):
+            profile = built[lo][0]
+            hp_keys = [_key(profile, prop.fixed_contributors[0]) for _, prop in built[lo + 1 : hi]]
+            keys = [hp_keys[0]] + [_key(profile, g) for g in drawn[case * n : (case + 1) * n]]
+            assert hp_keys == list(dict.fromkeys(keys))
+            repeats += len(keys) - len(hp_keys)
+        assert repeats > 0  # the study repeats a candidate
 
-    def test_true_donor_fitted_once(self, monkeypatch):
+    def test_true_donor_fitted_once(self, monkeypatch, drawn):
         fits = []
         real = study_mod.maximize
 
         def counting(profile, prop, *args, **kwargs):
             res = real(profile, prop, *args, **kwargs)
-            fits.append((prop.label, res.log10_max))
+            fits.append((profile, prop, res.log10_max))
             return res
 
         # the Hd re-polish calls maximize through mixlr.mle
@@ -183,11 +214,50 @@ class TestRunStudy:
         cfg = self._config(n_cases=1)
         run_study(cfg, seed=1)
         # the Hd fit, the true donor's Hp fit that probes Hd, the Hd
-        # re-polish, then one Hp fit per non-donor. The re-polish does not
-        # raise Hd here, so the probe serves as the true donor's fit.
-        labels = [label for label, _ in fits]
-        assert labels == [HD, HP, HD] + [HP] * cfg.n_nondonors_per_case
-        assert fits[2][1] <= fits[0][1]
+        # re-polish, then one Hp fit per non-donor that differs from every
+        # earlier candidate. The re-polish does not raise Hd here, so the
+        # probe serves as the true donor's fit.
+        profile, donor = fits[1][0], fits[1][1].fixed_contributors[0]
+        keys = [_key(profile, g) for g in [donor, *drawn]]
+        assert len(set(keys)) < len(keys)
+        assert [prop.label for _, prop, _ in fits] == [HD, HP, HD] + [HP] * (len(set(keys)) - 1)
+        assert fits[2][2] <= fits[0][2]
+
+    def test_each_distinct_candidate_is_scored_once(self, monkeypatch, drawn):
+        fits, marginals = [], []
+        real_fit, real_marginal = study_mod.maximize, study_mod.marginal_quadrature
+
+        def fit(profile, prop, *args, **kwargs):
+            fits.append((profile, prop))
+            return real_fit(profile, prop, *args, **kwargs)
+
+        def marginal(profile, prop, *args, **kwargs):
+            marginals.append(prop)
+            return real_marginal(profile, prop, *args, **kwargs)
+
+        monkeypatch.setattr(study_mod, "maximize", fit)
+        monkeypatch.setattr(study_mod, "marginal_quadrature", marginal)
+        cfg = self._config(n_cases=1, n_nondonors_per_case=4, engines=(ENGINE_MLE, ENGINE_INT))
+        records = run_study(cfg, seed=0)
+        profile, donor = fits[1][0], fits[1][1].fixed_contributors[0]
+        keys = [_key(profile, g) for g in [donor, *drawn]]
+        distinct = list(dict.fromkeys(keys))
+        assert len(distinct) < len(keys)
+        # two candidates that match at one locus but not at the other
+        assert len(profile.loci) == 2
+        assert any(sum(x == y for x, y in zip(a, b)) == 1 for a in distinct for b in distinct)
+        # each engine scores Hd once, then each distinct candidate once
+        hp_fits = [_key(profile, p.fixed_contributors[0]) for _, p in fits if p.label == HP]
+        hp_marginals = [_key(profile, p.fixed_contributors[0]) for p in marginals if p.label == HP]
+        assert hp_fits == distinct and hp_marginals == distinct
+        assert len(fits) == len(marginals) == 1 + len(distinct)
+        # a repeat's records are its first occurrence's but for the label
+        by_engine = (records[: len(keys)], records[len(keys) :])
+        for engine, rs in zip((ENGINE_MLE, ENGINE_INT), by_engine):
+            assert [r.engine for r in rs] == [engine] * len(keys)
+            for r, k in zip(rs, keys):
+                first = rs[keys.index(k)]
+                assert repr(replace(r, donor_label="")) == repr(replace(first, donor_label=""))
 
     def test_true_donor_supported(self):
         records = run_study(self._config(), seed=4)
