@@ -241,7 +241,7 @@ def log10sumexp(values: np.ndarray) -> float:
     """Stable log10 of a sum of 10**values."""
     values = np.asarray(values, dtype=float)
     m = np.max(values)
-    if not np.isfinite(m):
+    if m == NEG_INF:
         return NEG_INF
     d = np.maximum(LN10 * (values - m), _MIN_LN)
     return float(m + np.log10(np.sum(np.exp(d))))
@@ -251,7 +251,8 @@ def _log10sumexp_sets(values: np.ndarray) -> np.ndarray:
     """(batch,) log10 of the sum over sets of 10**values, for (sets, batch)
     values, which it may overwrite.
 
-    A point whose sets are all -inf is -inf. The max over sets is exact in
+    A point whose sets are all -inf is -inf, and a NaN among a point's sets
+    makes it NaN: only -inf is an exclusion. The max over sets is exact in
     any order, so it and the element-wise steps run along the longer axis
     of the block. The sum runs over a (batch, sets)-contiguous array, so
     each point's sets are summed in numpy's order for one row whatever the
@@ -261,7 +262,7 @@ def _log10sumexp_sets(values: np.ndarray) -> np.ndarray:
     if not wide:
         values = np.ascontiguousarray(values.T)
     m = values.max(axis=0 if wide else 1, keepdims=True)
-    excluded = ~np.isfinite(m)
+    excluded = m == NEG_INF
     m[excluded] = 0.0
     values -= m
     values *= LN10
@@ -339,13 +340,17 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Elements (batch rows x live sets x positions) in one kernel temporary, so
-# memory per chunk stays bounded at any NoC and any batch size. 2**15
-# float64 values (256 KiB) keep a chunk's temporaries in a core's L2 cache.
-# On a 2-core Xeon with 2 MiB of L2 per core, per point at batch 2048 on the
-# two-contributor, two-locus shapes of 4 and 18 live sets per locus, 2**13
-# was 55-70% slower than 2**15 and 2**14 13-23% slower; 2**16 was 0-10%
-# faster, and 2**17 40-50% slower on the 18-set shape.
-_CHUNK_ELEMENTS = 1 << 15
+# memory per chunk stays bounded at any NoC and any batch size: 2**16
+# float64 values, 512 KiB. On a 2-core Xeon with 2 MiB of L2 per core, per
+# point at batch 2048 on the two-contributor, two-locus shapes of 4 and 18
+# live sets per locus, 2**13 was 55-70% slower than 2**15 and 2**14 13-23%
+# slower. In-process CPU-time ratios of 2**16 to 2**15, with bit-identical
+# outputs: 0.90-0.93 on the int_2p Hp at batch 16384, 0.91-0.92 on its Hd at
+# batch 8256, and on the study_3p three-person Hd (1728 set-positions, so
+# 2**15 holds only 18 points) 0.74 at batch 33 and 0.86-0.87 at batch 336.
+# 2**17 was slower than 2**15 on the int_2p Hp shape (1.04), and 40-50%
+# slower on the 18-set shape.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class LocusEvaluator:

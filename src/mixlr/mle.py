@@ -6,15 +6,16 @@ LR_ML = 10^(logL1 - logL2), and (for same-dimension hypothesis pairs)
 the two bounding ratios obtained by freezing the parameters at either
 hypothesis's optimum.
 
-Optimisation is bounded quasi-Newton search (L-BFGS-B) on the unit cube of
-the shared `ParamSpace`, multi-started from stratified random draws, as
-EuroForMix fits its MLE (Bleka, Storvik & Gill 2016). L-BFGS-B asks for
-one point at a time (Byrd, Lu, Nocedal & Zhu 1995), so `maximize` runs
-every start in lockstep: each round maps one block of points through the
-cube once and scores it in one batched kernel call, the pending point of
-every live run together with the steps of its central-difference
-gradient, one-sided at a bound. A face optimum is reached exactly and
-reported in `MleResult.faces`.
+Optimisation is bounded quasi-Newton search on the unit cube of the shared
+`ParamSpace`, multi-started from stratified random draws, as EuroForMix
+fits its MLE (Bleka, Storvik & Gill 2016). The optimiser is a projected
+BFGS step with an active set (Bertsekas 1982) and a backtracking Armijo
+line search, one driver for every start of a fit, so `maximize` runs them
+in lockstep. Each round maps one block of points through the cube once
+and scores it in one batched kernel call, the pending point of every live
+run together with the steps of its central-difference gradient, one-sided
+at a bound. A face optimum is reached exactly and reported in
+`MleResult.faces`.
 
 Because the model is discontinuous at template = 0 (a contributor with
 exactly zero template drops out of the likelihood entirely, while an
@@ -29,12 +30,13 @@ good as any nested one supplied as a warm start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations
+from operator import mul, ne, sub
 from typing import Optional
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
 
 from .genotypes import FrequencyTable, RareAllelePolicy
 from .likelihood import (
@@ -59,32 +61,36 @@ from .model import (
 _TEMPLATE_FLOOR = 1e-6
 # Finite-difference step on each cube axis.
 _FD_STEP = 1e-6
-# A point the model excludes (log10 likelihood -inf) scores this many times
-# max(1, |f0|) above the value f0 at the run's start. The line search
-# interpolates between values, so a finite penalty on the scale of the
-# objective makes it back off by a usable factor, where a huge one would
-# shrink its next step to nothing and end the run at its start.
-_EXCLUDED_SCALE = 1e3
 # A re-polished optimum replaces the one it was started from only when its
 # log10 likelihood is higher by more than this. A smaller rise is rounding
 # in the objective, yet taking it would re-run every fit warm-started from
 # the old optimum.
 POLISH_MARGIN = 1e-12
-# scipy.optimize.minimize's L-BFGS-B defaults: corrections kept, line-search
-# steps per iteration, the relative-decrease stop (ftol 2.22e-9 over machine
-# epsilon) and the evaluation cap.
-_MAXCOR, _MAXLS, _MAXFUN = 10, 20, 15000
-_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+# `_quasi_newton`'s settings: the distance from a bound within which an axis
+# that its gradient pushes out is active; Armijo's sufficient-decrease
+# fraction; how much steeper than it fell at the start f may rise along the
+# step at a trial that lands on a bound; the rejected trials a line search may
+# take before its run restarts; the factor that lengthens a run's steps after
+# one along which f curves down; and the relative-decrease stop (L-BFGS-B's
+# default ftol). On the fits of 40 `study_3p` benchmark rounds, _CURVATURE 2
+# or 5 and _CONCAVE_GROWTH 1.5 or 4 change the kernel calls by 2% or less.
+_ACTIVE_EPS = 1e-5
+_ARMIJO = 1e-4
+_CURVATURE = 3.0
+_MAX_BACKTRACKS = 20
+_CONCAVE_GROWTH = 2.0
+_FTOL = 2.2204460492503131e-09
 
 
 @dataclass(frozen=True)
 class SearchSpec(ParamBox):
     """The parameter box of one maximisation, plus its restart policy.
 
-    Each start runs L-BFGS-B on the box's unit cube: `max_iter` is its
-    iteration limit, and `xtol` its projected-gradient tolerance, so a run
-    stops once no component of the projected cube gradient of -log10 L
-    exceeds xtol. A run also stops when an iteration lowers -log10 L by a
+    Each start runs a bounded quasi-Newton search on the box's unit cube:
+    `max_iter` is its iteration limit, and `xtol` its projected-gradient
+    tolerance, so a run stops once no component of the projected cube
+    gradient of -log10 L exceeds xtol. A run also stops when an iteration
+    lowers -log10 L, or its next full step predicts it would lower it, by a
     relative 2.2e-9 or less (L-BFGS-B's default `ftol`).
     """
 
@@ -167,118 +173,403 @@ def _faces(space: ParamSpace, u: np.ndarray) -> tuple[str, ...]:
     return tuple(sorted(faces))
 
 
-def _lbfgsb(u0, lower, upper, xtol, max_iter):
-    """L-BFGS-B on the box [lower, upper] from u0, as a generator.
+def _clip(v, lo, hi):
+    """v clipped to [lo, hi]."""
+    return lo if v < lo else hi if v > hi else v
 
-    It yields each point whose value and gradient it needs, is sent back
-    (f, g), and returns (fun, x, nit, success). This is the loop that
-    scipy.optimize.minimize(method="L-BFGS-B", jac=True) runs around the
-    same reverse-communication core, with its default settings and stop
-    rules, so a run takes the same steps and, as scipy caches the last
-    point, asks for each distinct point once.
+
+class _Run:
+    """One run of `_quasi_newton`: Python floats over the axes it may move.
+
+    x, g and end are its point, gradient and step's end; H is its
+    inverse-Hessian approximation as a list of rows; free marks the axes
+    that take the BFGS step; t, step and slope are its pending trial, the
+    trial's offset from x and g'step; lam is the fraction of the step the
+    line search takes; rose marks a last rejected trial at which f rose;
+    tol is its relative-decrease tolerance at x.
     """
-    n = len(u0)
-    x = np.clip(u0, lower, upper).astype(float)
-    nbd = np.full(n, 2, dtype=np.int32)  # both bounds finite
-    wa = np.zeros(2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR**2 + 8 * _MAXCOR)
-    iwa = np.zeros(3 * n, dtype=np.int32)
-    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    last = x.copy()
-    f, g = yield last
-    nfev, nit = 1, 0
-    while True:
-        setulb(_MAXCOR, x, lower, upper, nbd, f, g, _FACTR, xtol, wa, iwa,
-               task, lsave, isave, dsave, _MAXLS, ln_task)
-        if task[0] == 3:  # wants f and g at x
-            if not np.array_equal(x, last):
-                last = x.copy()
-                f, g = yield last
-                nfev += 1
-        elif task[0] == 1:  # a new iterate
-            nit += 1
-            if nit >= max_iter:
-                task[:] = 5, 504
-            elif nfev > _MAXFUN:
-                task[:] = 5, 502
+
+    __slots__ = (
+        "lo", "hi", "x", "f", "g", "H", "fresh", "free", "pgn", "tol", "nit",
+        "lam", "tries", "end", "landed", "t", "step", "slope", "rose", "ok",
+    )
+
+    def __init__(self, lo, hi, x, f, g):
+        self.lo, self.hi, self.x, self.f, self.g = lo, hi, x, f, g
+        self.nit, self.lam, self.tries, self.rose, self.ok = 0, 1.0, 0, False, False
+        self.restart()
+        self.tol = self.at_point()
+
+    def restart(self):
+        """Forget the curvature: the next step runs along -g."""
+        n = len(self.x)
+        self.H = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        self.fresh, self.lam, self.tries, self.end = True, 1.0, 0, None
+
+    def at_point(self):
+        """Set free and pgn at x, and return the relative-decrease tolerance
+        there: an axis whose step along -g leaves the box within the active
+        distance of that bound is not free."""
+        pg = list(map(sub, self.x, map(_clip, map(sub, self.x, self.g), self.lo, self.hi)))
+        self.pgn = max(map(abs, pg), default=0.0)
+        near = min(self.pgn, _ACTIVE_EPS)
+        self.free = [p == g or abs(p) > near for p, g in zip(pg, self.g)]
+        return _FTOL * max(abs(self.f), 1.0)
+
+    def plan(self):
+        """Set the next trial, or return False where the run stops instead:
+        its full step predicts a decrease the relative-decrease stop would
+        take (converged), or its line search fails just after a restart."""
+        while True:
+            x, lo, hi = self.x, self.lo, self.hi
+            if self.end is None:
+                self._step_end()
+            lam = self.lam
+            if lam == 1.0:
+                t = self.end
+            else:
+                t = [_clip(a + lam * (e - a), l, h) for a, e, l, h in zip(x, self.end, lo, hi)]
+            step = list(map(sub, t, x))
+            slope = sum(map(mul, self.g, step))
+            if slope < -self.tol:
+                self.t, self.step, self.slope = t, step, slope
+                return True
+            # a trial the bounds turn uphill, or a shrunk one with so small
+            # a predicted decrease, is a failed line search. Along -g, where
+            # the trials before it rose, the line holds no more decrease than
+            # about the relative-decrease stop allows (the interpolating
+            # quadratic's minimum is at most 2.5 times the tolerance below
+            # f), and the run has converged; a line search that ends on an
+            # excluded point or a wall has not
+            failed = slope >= 0 or lam < 1.0
+            if failed and not self.fresh:
+                self.restart()
+                continue
+            self.ok = not failed or (slope < 0 and self.rose)
+            return False
+
+    def _step_end(self):
+        """The step's end: -g projected on the box for a fresh run; else
+        active axes along -g up to their bound and free axes along -H g,
+        cut back where the first of them meets a bound. landed: the end
+        touches a bound the step was cut or projected to."""
+        x, g, lo, hi = self.x, self.g, self.lo, self.hi
+        if self.fresh:
+            raw = list(map(sub, x, g))
+            end = list(map(_clip, raw, lo, hi))
+            self.end, self.landed = end, end != raw
+            return
+        free = self.free
+        every = all(free)
+        gq = g if every else [b if q else 0.0 for b, q in zip(g, free)]
+        d = [sum(map(mul, row, gq)) for row in self.H]
+        if every:
+            raw = list(map(sub, x, d))
         else:
-            break
-    return f, x, nit, bool(task[0] == 4)
+            raw = [a - (e if q else b) for a, b, e, q in zip(x, g, d, free)]
+        end = list(map(_clip, raw, lo, hi))
+        if end == raw:
+            self.end, self.landed = end, False
+            return
+        cut = list(map(ne, end, raw))
+        if any(c and q for c, q in zip(cut, free)):
+            room = [
+                ((a - l) if e > 0 else (h - a)) / max(abs(e), 1e-300)
+                for a, e, l, h in zip(x, d, lo, hi)
+            ]
+            reach = min([r for r, q in zip(room, free) if q] + [1.0])
+            for i, q in enumerate(free):
+                if q:
+                    hit = room[i] <= reach
+                    raw[i] = (lo[i] if d[i] > 0 else hi[i]) if hit else x[i] - reach * d[i]
+                    cut[i] = cut[i] or hit
+            end = list(map(_clip, raw, lo, hi))
+        self.end, self.landed = end, any(cut)
+
+    def _shrink(self, f_t, g_t, fell):
+        """The fraction of a rejected trial's step the next trial takes: the
+        minimiser of the cubic through f and its slope at both ends
+        (Nocedal & Wright, eq. 3.59), within 0.1-0.5 of the step, or 0.1-0.9
+        where f fell but the trial hit a wall; the quadratic's through both
+        values and the start's slope where the cubic has no minimiser; 0.1
+        where the trial is excluded."""
+        slope, rise = self.slope, f_t - self.f
+        if rise == math.inf:
+            return 0.1
+        end_slope = sum(map(mul, g_t, self.step))
+        z = slope + end_slope - 3.0 * rise
+        rad = z * z - slope * end_slope
+        if rad >= 0.0:
+            w = math.sqrt(rad)
+            den = end_slope - slope + 2.0 * w
+            if den != 0.0:
+                return min(max(1.0 - (end_slope + w - z) / den, 0.1), 0.9 if fell else 0.5)
+        return min(max(-slope / (2.0 * (rise - slope)), 0.1), 0.5)
+
+    def take(self, f_t, g_t, xtol, max_iter):
+        """Score the pending trial; return True where the run stops."""
+        slope = self.slope
+        accept = fell = f_t <= self.f + _ARMIJO * slope
+        if accept and self.landed and self.lam == 1.0:
+            # a trial on a bound where f climbs steeply along the step has
+            # hit a wall there, not a minimum
+            accept = sum(map(mul, g_t, self.step)) <= -_CURVATURE * slope
+        if not accept:
+            # too many rejected trials are a failed line search, which
+            # restarts the run, or stops it if it has just restarted
+            self.tries += 1
+            self.rose = not fell and f_t < math.inf
+            if self.tries >= _MAX_BACKTRACKS:
+                if self.fresh:
+                    return True
+                self.restart()
+                return False
+            self.lam *= self._shrink(f_t, g_t, fell)
+            return False
+
+        # BFGS from the step and gradient change along the free axes where
+        # s'y > 0: H + a s s' - rho (Hy s' + s y'H) with a = rho (1 + rho
+        # y'Hy), written H + v s' + s v' with v = a s / 2 - rho Hy. A fresh
+        # run's first such update starts from s'y / y'y times the identity.
+        # Where s'y <= 0, f curves down along the step and H grows.
+        free = self.free
+        if all(free):
+            s, y = self.step, list(map(sub, g_t, self.g))
+        else:
+            s = [a if q else 0.0 for a, q in zip(self.step, free)]
+            y = [(a - b) if q else 0.0 for a, b, q in zip(g_t, self.g, free)]
+        sy = sum(map(mul, s, y))
+        if sy > 0:
+            if self.fresh:
+                scale = sy / sum(map(mul, y, y))
+                n = len(s)
+                self.H = [[scale if i == j else 0.0 for j in range(n)] for i in range(n)]
+                self.fresh = False
+            H = self.H
+            rho = 1.0 / sy
+            hy = [sum(map(mul, row, y)) for row in H]
+            c = 0.5 + 0.5 * (rho * sum(map(mul, y, hy)))
+            v = [rho * (c * a - b) for a, b in zip(s, hy)]
+            self.H = [
+                [h + vi * sj + si * vj for h, sj, vj in zip(row, s, v)]
+                for row, vi, si in zip(H, v, s)
+            ]
+        else:
+            self.H = [[h * _CONCAVE_GROWTH for h in row] for row in self.H]
+        f_old, tol = self.f, self.tol
+        self.x, self.g, self.f = self.t, g_t, f_t
+        self.nit += 1
+        self.tol = self.at_point()
+        self.ok = self.pgn <= xtol or f_old - f_t <= max(tol, self.tol)
+        if self.ok or self.nit >= max_iter:
+            return True
+        self.lam, self.tries, self.end = 1.0, 0, None
+        return False
+
+
+def _quasi_newton(x0, lower, upper, xtol, max_iter):
+    """Minimise f from every row of x0 at once on its box [lower, upper], as
+    a generator: a projected BFGS step with an active set (Bertsekas 1982)
+    and a backtracking Armijo line search for each run, one point per live
+    run and round.
+
+    It yields (runs, points), the indices of the live runs and the point of
+    each whose value and gradient it needs, and is sent back (f, g) there,
+    f = inf where the point is excluded. An axis with lower == upper never
+    moves. It returns (f, x, iterations, success, started excluded), one
+    entry per row of x0.
+
+    A run starts, and restarts, with no curvature: it steps along -g
+    projected on the box, as L-BFGS-B's first iteration does, and its first
+    update scales its inverse-Hessian approximation H to s'y / y'y times the
+    identity (Nocedal & Wright, eq. 6.20). After that, an axis whose step
+    along -g would leave the box, within _ACTIVE_EPS of that bound (less
+    near a stationary point), is active and steps along -g up to the bound;
+    the free axes step along -H g, cut back so that the first of them to
+    meet a bound stops on it. The line search moves along the segment to
+    that step's end. A trial is accepted when f falls by at least _ARMIJO of
+    the decrease the step predicts and, where the full step lands on a
+    bound, f rises along the step there at most _CURVATURE times as fast as
+    it fell at the start; otherwise the next trial shrinks the step by
+    cubic interpolation (`_Run._shrink`). An accepted step updates H by BFGS
+    from its change in x and g along the free axes where their product is
+    positive; where it is not, f curves down along the step, and H grows by
+    _CONCAVE_GROWTH.
+
+    A run that starts on an excluded point ends there. A run stops,
+    converged, when the infinity norm of its projected gradient is at most
+    xtol, or when a step lowers f, or its next full step predicts it would
+    lower f, by a relative _FTOL or less. The line search fails when the
+    bounds turn a step uphill, when a shrunk trial predicts so small a
+    decrease, or after _MAX_BACKTRACKS rejected trials; the run then
+    restarts at its point. A line search that fails just after a restart
+    stops the run: converged where its shrunk trial followed a trial at
+    which f rose, since the line then holds no decrease the relative stop
+    would take, and unconverged where it followed an excluded trial or a
+    wall, or ran out of trials. A run also stops unconverged after max_iter
+    iterations.
+
+    Each run's arithmetic is on Python floats over its own axes, so a run
+    takes the same steps whichever runs share its rounds, and no call goes
+    to BLAS. With the one to a dozen runs of 2 to 8 axes a fit has, a numpy
+    expression over all runs costs more in per-call overhead than the
+    arithmetic of every run together.
+    """
+    n_runs, n = x0.shape
+    fun, point = np.full(n_runs, np.inf), np.clip(x0, lower, upper)
+    iters, success = np.zeros(n_runs, dtype=int), np.zeros(n_runs, dtype=bool)
+    f, g = yield np.arange(n_runs), point
+    live = f < np.inf
+    fun[live] = f[live]
+    # (row, its movable axes or None for every axis, run)
+    runs = []
+    for i in np.flatnonzero(live):
+        axes = np.flatnonzero(lower[i] < upper[i])
+        pick = None if len(axes) == n else axes.tolist()
+        take = (lambda v: v.tolist()) if pick is None else (lambda v, a=axes: v[a].tolist())
+        run = _Run(take(lower[i]), take(upper[i]), take(point[i]), float(f[i]), take(g[i]))
+        runs.append((int(i), pick, run))
+
+    def end(i, pick, run, ok):
+        fun[i], iters[i], success[i] = run.f, run.nit, ok
+        if pick is None:
+            point[i] = run.x
+        else:
+            point[i, pick] = run.x
+
+    pending = []
+    for i, pick, run in runs:
+        if run.pgn <= xtol:
+            end(i, pick, run, True)
+        elif run.plan():
+            pending.append((i, pick, run))
+        else:
+            end(i, pick, run, run.ok)
+    index = None
+    while pending:
+        if index is None:
+            index = np.array([i for i, _, _ in pending])
+        rows = []
+        for i, pick, run in pending:
+            if pick is None:
+                rows.append(run.t)
+            else:
+                row = [0.0] * n
+                for a, v in zip(pick, run.t):
+                    row[a] = v
+                rows.append(row)
+        f, g = yield index, np.array(rows)
+        still = []
+        for (i, pick, run), f_t, g_t in zip(pending, f.tolist(), g.tolist()):
+            if pick is not None:
+                g_t = [g_t[a] for a in pick]
+            if run.take(f_t, g_t, xtol, max_iter):
+                end(i, pick, run, run.ok)
+            elif run.plan():
+                still.append((i, pick, run))
+            else:
+                end(i, pick, run, run.ok)
+        if len(still) != len(pending):
+            pending, index = still, None
+    return fun, point, iters, success, ~live
 
 
 def _search(ev, space, starts, search):
-    """L-BFGS-B from every start, all runs in lockstep on the cube of `space`.
+    """`_quasi_newton` from every start, all runs in lockstep on the cube of
+    `space`.
 
     starts is a list of (free axes, cube point on them). A run moves along
     its free axes and holds the other template axes at exactly 0. Each
     round stacks every live run's pending point with a step up, then a step
     down, each of its free axes, each step stopping at the bound, maps the
     whole block through `space` once and scores it in one kernel call. A
-    run's value is -log10 L at its point and its gradient the central
-    difference, falling back on the centre where a side is excluded. A
-    point the model excludes scores the run's penalty, set at its start.
-    Kernel values do not depend on the batch, so each run takes the steps
-    it would take alone.
+    run's value is -log10 L at its point, +inf where the model excludes it,
+    and its gradient the central difference, falling back on the centre
+    where a side is excluded. Kernel values do not depend on the batch, so
+    each run takes the steps it would take alone. A NaN from the kernel is
+    an error, never an exclusion.
 
     Returns, per start, (-log10 L, cube point, iterations, success, whether
     the run started on an exclusion), and the parameter points evaluated.
     """
-    lower = _lower_bounds(space)
-    runs = []  # [start index, free axes, driver, pending point, penalty]
+    n, ndim = len(starts), space.ndim
+    x0, lower, upper = np.zeros((n, ndim)), np.zeros((n, ndim)), np.zeros((n, ndim))
+    floor = _lower_bounds(space)
     for i, (free, u0) in enumerate(starts):
-        driver = _lbfgsb(u0, lower[free], np.ones(len(free)), search.xtol, search.max_iter)
-        runs.append([i, free, driver, next(driver), None])
-    results = [None] * len(starts)
+        x0[i, free], lower[i, free], upper[i, free] = u0, floor[free], 1.0
+    driver = _quasi_newton(x0, lower, upper, search.xtol, search.max_iter)
+    runs, x = next(driver)
     evals, n_live = 0, 0
-    while runs:
+    while True:
         if len(runs) != n_live:
             # the block's layout, rebuilt only when a run ends: one entry
-            # per run and free axis, runs in order; a run's rows are its
-            # centre, its up-steps, then its down-steps
+            # per live run and free axis, runs in order; a run's rows are its
+            # centre, its up-steps, then its down-steps. A row is its run's
+            # point plus its offset, clipped to the run's box; up_index and
+            # down_index give each (run, axis) its two rows, the centre's on
+            # a held axis.
             n_live = len(runs)
-            k = np.array([len(r[1]) for r in runs])
-            axes = np.concatenate([r[1] for r in runs])
-            run_of = np.repeat(np.arange(n_live), k)
-            first, ends = np.cumsum(2 * k + 1) - (2 * k + 1), np.cumsum(k)
+            lo, hi = lower[runs], upper[runs]
+            run_of, axes = np.nonzero(lo < hi)
+            k = np.bincount(run_of, minlength=n_live)
+            sizes = 2 * k + 1
+            first = np.cumsum(sizes) - sizes
             centre_of = first[run_of]
-            up_rows = centre_of + 1 + np.arange(len(axes)) - (ends - k)[run_of]
+            up_rows = centre_of + 1 + np.arange(len(axes)) - (np.cumsum(k) - k)[run_of]
             down_rows = up_rows + k[run_of]
-            lower_axes = lower[axes]
-        x = np.concatenate([r[3] for r in runs])
-        up = np.minimum(x + _FD_STEP, 1.0)
-        down = np.maximum(x - _FD_STEP, lower_axes)
-        pts = np.zeros((n_live, space.ndim))
-        pts[run_of, axes] = x
-        pts = np.repeat(pts, 2 * k + 1, axis=0)
-        pts[up_rows, axes] = up
-        pts[down_rows, axes] = down
+            row_run = np.repeat(np.arange(n_live), sizes)
+            offset = np.zeros((len(row_run), ndim))
+            offset[up_rows, axes], offset[down_rows, axes] = _FD_STEP, -_FD_STEP
+            lo_rows, hi_rows = lo[row_run], hi[row_run]
+            up_index = np.repeat(first[:, None], ndim, axis=1)
+            down_index = up_index.copy()
+            up_index[run_of, axes], down_index[run_of, axes] = up_rows, down_rows
+            # the same (run, axis) entries of the block, as flat indices
+            up_at, down_at = up_index * ndim + np.arange(ndim), down_index * ndim + np.arange(ndim)
+            held = (lo == hi).astype(float)
+        pts = np.minimum(np.maximum(x.take(row_run, axis=0) + offset, lo_rows), hi_rows)
         ll = ev.marginal_log10(*space.from_cube(pts))
         evals += len(ll)
-        centre = ll[first]
-        ok = centre > NEG_INF
-        # no gradient where the centre is excluded; a side the model
-        # excludes falls back on the centre point
-        rows = slice(None) if ok.all() else ok[run_of]
-        c = ll[centre_of[rows]]
-        ll_up, ll_down = ll[up_rows[rows]], ll[down_rows[rows]]
-        ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
-        rise = np.where(ok_up, ll_up, c) - np.where(ok_down, ll_down, c)
-        width = np.where(ok_up, up[rows], x[rows]) - np.where(ok_down, down[rows], x[rows])
-        grad = np.zeros(len(axes))
-        grad[rows] = -np.divide(rise, width, out=np.zeros_like(rise), where=width > 0)
-        for run, f, f_ok, end, n in zip(runs, centre, ok, ends, k):
-            if run[4] is None:
-                run[4] = np.inf if not f_ok else -f + _EXCLUDED_SCALE * max(1.0, abs(f))
-            try:
-                run[3] = run[2].send((-f if f_ok else run[4], grad[end - n : end]))
-            except StopIteration as stop:
-                fun, u, nit, success = stop.value
-                point = np.zeros(space.ndim)
-                point[run[1]] = u
-                results[run[0]] = (fun, point, nit, success, run[4] == np.inf)
-                run[3] = None
-        runs = [r for r in runs if r[3] is not None]
-    return results, evals
+        if (ll > NEG_INF).all():
+            # each step stops at its bound; a held axis has width 1 and no
+            # rise
+            f = -ll[first]
+            width = pts.take(up_at) - pts.take(down_at) + held
+            grad = (ll.take(down_index) - ll.take(up_index)) / width
+        else:
+            if np.isnan(ll).any():
+                run = runs[np.searchsorted(first, np.flatnonzero(np.isnan(ll))[0], side="right") - 1]
+                raise FloatingPointError(
+                    f"the likelihood is NaN near run {run} of this search, started at cube "
+                    f"point {x0[run].tolist()} on axes {np.flatnonzero(upper[run]).tolist()}"
+                )
+            # no gradient where the centre is excluded; a side the model
+            # excludes falls back on the centre point
+            centre = ll[first]
+            ok = centre > NEG_INF
+            f = np.where(ok, -centre, np.inf)
+            rows = ok[run_of]
+            xa = x[run_of[rows], axes[rows]]
+            c = ll[centre_of[rows]]
+            ll_up, ll_down = ll[up_rows[rows]], ll[down_rows[rows]]
+            ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
+            rise = np.where(ok_up, ll_up, c) - np.where(ok_down, ll_down, c)
+            width = (
+                np.where(ok_up, pts[up_rows[rows], axes[rows]], xa)
+                - np.where(ok_down, pts[down_rows[rows], axes[rows]], xa)
+            )
+            grad = np.zeros(x.shape)
+            grad[run_of[rows], axes[rows]] = -np.divide(
+                rise, width, out=np.zeros_like(rise), where=width > 0
+            )
+        try:
+            runs, x = driver.send((f, grad))
+        except StopIteration as stop:
+            fun, point, nit, success, excluded = stop.value
+            return [
+                (float(f), u, int(it), bool(ok), bool(ex))
+                for f, u, it, ok, ex in zip(fun, point, nit, success, excluded)
+            ], evals
 
 
 def maximize(
@@ -296,11 +587,13 @@ def maximize(
     a face is a tuple of template axes held at exactly 0: the interior ()
     from n_starts stratified starts; with boundary_passes, every proper face
     from max(2, n_starts // 4) stratified starts; and the face of each warm
-    start in extra_starts. Each face runs L-BFGS-B on its free axes from its
-    stratified starts plus the warm starts whose zero templates define it,
-    and every run goes in lockstep; a face that holds every template at 0
-    has nothing to search. The best run wins, faces and starts taken in
-    order. Every warm start is also scored as it stands, so a warm start
+    start in extra_starts. Each face runs the batched quasi-Newton search
+    of `_search` on its free axes from its stratified starts plus the warm
+    starts whose zero templates define it, every run of every face in
+    lockstep; a face that holds every template at 0 has nothing to search.
+    A run that starts on an exclusion does not compete, and a NaN
+    likelihood raises FloatingPointError. The best run wins, faces and
+    starts taken in order. Every warm start is also scored as it stands, so a warm start
     can never be beaten downward. converged is that of the run whose point
     is reported; for a warm start reported as it stands, that of the run
     started from it.

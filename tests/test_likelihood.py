@@ -171,6 +171,43 @@ def test_log10sumexp():
     assert log10sumexp(np.array([NEG_INF, 3.0])) == pytest.approx(3.0, rel=1e-12)
 
 
+class TestNanIsNotAnExclusion:
+    """Only a maximum of -inf excludes a point; a NaN comes out as NaN, so a
+    caller can tell a broken input from a structural exclusion."""
+
+    def test_scalar_path(self):
+        assert math.isnan(log10sumexp(np.array([np.nan, 1.0])))
+        assert math.isnan(log10sumexp(np.array([NEG_INF, np.nan])))
+        assert log10sumexp(np.array([NEG_INF, NEG_INF])) == NEG_INF
+
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 8)])
+    def test_set_reduction(self, shape):
+        # (sets, points), both orientations of the reduction
+        values = 3.0 * np.random.default_rng(0).normal(size=shape)
+        values[:, 1] = NEG_INF
+        values[2, 2] = np.nan
+        got = likelihood._log10sumexp_sets(values.copy())
+        assert got[1] == NEG_INF and math.isnan(got[2])
+        for j in (0, 3):
+            alone = likelihood._log10sumexp_sets(values[:, j : j + 1].copy())
+            assert got[j : j + 1].tobytes() == alone.tobytes()
+
+    def test_batch_path(self, policy):
+        # two loci of alleles 10/11/12 and two unknowns, the int_2p Hd shape
+        peaks = [Peak("10", 900.0), Peak("11", 650.0), Peak("12", 420.0)]
+        profile = Profile({"L0": peaks, "L1": list(peaks)}, 50.0)
+        table = FrequencyTable(
+            {locus: {"10": 0.45, "11": 0.30, "12": 0.25} for locus in ("L0", "L1")},
+            n_individuals=500,
+        )
+        ev = likelihood.build_evaluator(profile, Proposition(noc=2), table, policy)
+        got = ev.marginal_log10(np.array([[np.nan, 500.0], [400.0, 500.0], [0.0, 0.0]]), 12.0)
+        assert math.isnan(got[0])
+        assert got[1:2].tobytes() == ev.marginal_log10(np.array([[400.0, 500.0]]), 12.0).tobytes()
+        # no template explains no peak: a structural exclusion
+        assert got[2] == NEG_INF
+
+
 class TestVectorisedAgreement:
     """The batch evaluator must match the scalar path to 1e-9."""
 

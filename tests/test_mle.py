@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -13,7 +16,6 @@ from mixlr.genotypes import FrequencyTable, enumerate_sets
 from mixlr.mle import (
     MleResult,
     SearchSpec,
-    _lbfgsb,
     bounded_lrs,
     build_evaluator,
     fit_both,
@@ -223,6 +225,48 @@ class TestContinuousMode:
             assert res.log10_max >= near_optimum
 
 
+class TestNanLikelihood:
+    def test_is_an_error_naming_the_run(self, toy_profile, toy_table, policy, toy_hp):
+        # a kernel that returns NaN must stop the search, not pass as an
+        # exclusion
+        ev = build_evaluator(toy_profile, toy_hp, toy_table, policy, ModelConfig())
+        kernel = ev.marginal_log10
+
+        def broken(templates, *scalars):
+            out = kernel(templates, *scalars)
+            out[templates[:, 0] > 1500.0] = np.nan
+            return out
+
+        ev.marginal_log10 = broken
+        with pytest.raises(FloatingPointError, match=r"NaN near run \d+"):
+            maximize(
+                toy_profile, toy_hp, toy_table, policy,
+                search=SearchSpec(c2=12.0, n_starts=4, seed=1), evaluator=ev,
+            )
+
+
+def test_fitting_never_loads_scipy_optimize():
+    # importing mixlr and its CLI and running one fit must not import
+    # scipy.optimize: loading it adds set-up time and memory to every process
+    src = os.path.dirname(os.path.dirname(mle.__file__))
+    code = (
+        "import sys, mixlr, mixlr.cli\n"
+        "from mixlr import FrequencyTable, Peak, Profile, Proposition, RareAllelePolicy\n"
+        "from mixlr import SearchSpec, maximize\n"
+        "profile = Profile({'L': [Peak('A', 1000.0), Peak('B', 1100.0)]}, 50.0)\n"
+        "table = FrequencyTable({'L': {'A': 0.4, 'B': 0.4}}, n_individuals=500)\n"
+        "fit = maximize(profile, Proposition(noc=2), table, RareAllelePolicy.five_over_2n(),\n"
+        "               search=SearchSpec(c2=12.0, n_starts=2, seed=0))\n"
+        "print(fit.converged, 'scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["True", "False"]
+
+
 class TestBoxFaces:
     def test_c2_reaches_its_lower_bound_exactly(self, policy):
         # two balanced peaks fit exactly by one contributor: the likelihood
@@ -284,33 +328,33 @@ class TestEvaluationCount:
         assert len(points) < sum(a + b for a, b in live)
 
 
-def drive(fun, x0, lower, upper, xtol, max_iter):
-    """(fun, x, nit, success, objective calls) of `mle._lbfgsb` on fun."""
-    driver = _lbfgsb(np.asarray(x0, dtype=float), lower, upper, xtol, max_iter)
-    calls = 0
-    u = next(driver)
+def drive(fun, x0, lower, upper, xtol=1e-6, max_iter=500):
+    """`mle._quasi_newton` from each row of x0 on the box [lower, upper] with
+    fun(u) -> (f, g) applied to each point it asks for; returns its
+    (f, x, iterations, success, started excluded) and the points it asked
+    for."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    lower, upper = np.broadcast_to(lower, x0.shape), np.broadcast_to(upper, x0.shape)
+    driver = mle._quasi_newton(x0, lower, upper, xtol, max_iter)
+    asked = []
+    runs, pts = next(driver)
     try:
         while True:
-            calls += 1
-            u = driver.send(fun(u))
+            asked.append((runs.copy(), pts.copy()))
+            values = [fun(u) for u in pts]
+            f = np.array([v[0] for v in values], dtype=float)
+            g = np.array([v[1] for v in values], dtype=float).reshape(pts.shape)
+            runs, pts = driver.send((f, g))
     except StopIteration as stop:
-        return (*stop.value, calls)
+        return stop.value, asked
 
 
-def scipy_lbfgsb(fun, x0, lower, upper, xtol, max_iter):
-    """The same five figures from scipy.optimize.minimize."""
-    calls = 0
-
-    def counted(u):
-        nonlocal calls
-        calls += 1
-        return fun(u)
-
-    r = minimize(
-        counted, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
-        options={"gtol": xtol, "maxiter": max_iter},
-    )
-    return r.fun, r.x, r.nit, r.success, calls
+def scipy_minimum(fun, x0, lower, upper):
+    """scipy's L-BFGS-B minimum of fun from x0: an independent reference."""
+    return minimize(
+        fun, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
+        options={"gtol": 1e-8, "ftol": 1e-14, "maxiter": 2000},
+    ).fun
 
 
 def toy_objective(profile, table, policy, prop):
@@ -329,28 +373,23 @@ def toy_objective(profile, table, policy, prop):
     return fun, lower, np.full(space.ndim, 1.0 - 1e-3)
 
 
-class TestLbfgsbDriver:
-    """`mle._lbfgsb` loops over scipy's private L-BFGS-B core; it must take
-    the steps scipy.optimize.minimize takes, bit for bit."""
+class TestQuasiNewton:
+    """`mle._quasi_newton`, the lockstep bounded quasi-Newton driver, against
+    scipy's L-BFGS-B as an independent reference for the optimum."""
 
-    def assert_same(self, fun, x0, lower, upper, xtol=1e-6, max_iter=500):
-        mine = drive(fun, x0, lower, upper, xtol, max_iter)
-        ref = scipy_lbfgsb(fun, x0, lower, upper, xtol, max_iter)
-        assert repr(float(mine[0])) == repr(float(ref[0]))
-        assert mine[1].tobytes() == ref[1].tobytes()
-        assert mine[2:] == ref[2:]
-        return mine
-
-    def test_quadratic_with_an_active_bound(self):
+    def test_start_outside_the_box_stays_in_bounds(self):
         centre = np.array([0.3, 1.4, -0.2])
 
         def fun(u):
             return float(np.sum((u - centre) ** 2)), 2 * (u - centre)
 
-        # the start lies outside the box on its first axis and is clipped
-        _, x, _, success, _ = self.assert_same(fun, [1.3, 0.5, 0.5], np.zeros(3), np.ones(3))
-        assert success
-        assert x[1] == 1.0 and x[2] == 0.0
+        lower, upper = np.zeros(3), np.ones(3)
+        (f, x, _, success, excluded), asked = drive(fun, [1.3, 0.5, 0.5], lower, upper)
+        assert all(((p >= lower) & (p <= upper)).all() for _, p in asked)
+        assert success[0] and not excluded[0]
+        # the optimum sits exactly on two faces of the box
+        assert x[0, 1] == 1.0 and x[0, 2] == 0.0
+        assert f[0] == pytest.approx(scipy_minimum(fun, [1.0, 0.5, 0.5], lower, upper), abs=1e-6)
 
     def test_stopped_by_max_iter(self):
         def rosenbrock(u):
@@ -359,15 +398,21 @@ class TestLbfgsbDriver:
             g = np.array([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
             return f, 4 * g
 
-        _, _, nit, success, _ = self.assert_same(
-            rosenbrock, [0.1, 0.9], np.zeros(2), np.ones(2), max_iter=3
-        )
-        assert nit == 3 and not success
+        (_, _, nit, success, _), _ = drive(rosenbrock, [0.1, 0.9], np.zeros(2), np.ones(2), max_iter=3)
+        assert nit[0] == 3 and not success[0]
+        (f, _, nit, success, _), _ = drive(rosenbrock, [0.1, 0.9], np.zeros(2), np.ones(2))
+        assert success[0] and 3 < nit[0] < 500
+        assert f[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_toy_kernel_objective(self, toy_profile, toy_table, policy, toy_hp):
         fun, lower, upper = toy_objective(toy_profile, toy_table, policy, toy_hp)
-        for x0 in ([0.2, 0.7, 0.5], [0.9, 0.1, 0.05]):
-            self.assert_same(fun, x0, lower, upper)
+        starts = [[0.2, 0.7, 0.5], [0.9, 0.1, 0.05]]
+        (f, x, _, success, _), _ = drive(fun, starts, lower, upper)
+        assert success.all()
+        # log10 units: the best optimum against the reference's best, to 1e-6
+        # (from one start the two may reach different local optima)
+        want = min(scipy_minimum(fun, x0, lower, upper) for x0 in starts)
+        assert f.min() == pytest.approx(want, abs=1e-6)
 
     def test_start_on_an_excluded_point(self):
         # the left half of the box is excluded: infinite value, no gradient
@@ -376,8 +421,87 @@ class TestLbfgsbDriver:
                 return np.inf, np.zeros(2)
             return float(np.sum((u - 0.7) ** 2)), 2 * (u - 0.7)
 
-        fun_, *_ = self.assert_same(fun, [0.2, 0.4], np.zeros(2), np.ones(2))
-        assert fun_ == np.inf
+        (f, x, nit, success, excluded), asked = drive(fun, [[0.2, 0.4], [0.9, 0.9]], np.zeros(2), np.ones(2))
+        # the first run ends at its start; the second never leaves the
+        # allowed half, although the unconstrained step would
+        assert f[0] == np.inf and excluded[0] and not success[0] and nit[0] == 0
+        assert x[0].tolist() == [0.2, 0.4]
+        assert all(0 not in runs for runs, _ in asked[1:])
+        assert not excluded[1] and success[1]
+        assert f[1] == pytest.approx(0.0, abs=1e-10)
+
+    def test_excluded_trial_is_a_failed_step(self):
+        # the quadratic's minimum lies in the excluded half, so steps towards
+        # it land there and must back off
+        def fun(u):
+            if u[0] < 0.5:
+                return np.inf, np.zeros(2)
+            return float(np.sum((u - [0.2, 0.7]) ** 2)), 2 * (u - [0.2, 0.7])
+
+        (f, x, *_), asked = drive(fun, [0.95, 0.1], np.zeros(2), np.ones(2))
+        assert np.isfinite(f[0]) and x[0, 0] >= 0.5
+        assert f[0] < fun(np.array([0.95, 0.1]))[0]
+        assert any(p[0, 0] < 0.5 for _, p in asked)
+
+    def test_failed_line_search_is_not_converged(self):
+        # f falls along -g, but every point more than 1e-12 past the start
+        # that way is excluded, so the line search shrinks its step until
+        # the decrease it predicts is negligible, far from a stationary point
+        def fun(u):
+            if u[0] < 0.5 - 1e-12:
+                return np.inf, np.zeros(2)
+            return float(np.sum((u - [0.0, 0.5]) ** 2)), 2 * (u - [0.0, 0.5])
+
+        (f, x, nit, success, excluded), asked = drive(fun, [0.5, 0.5], np.zeros(2), np.ones(2))
+        assert all(fun(p[0])[0] == np.inf for _, p in asked[1:])
+        assert not success[0] and not excluded[0] and nit[0] == 0
+        assert x[0].tolist() == [0.5, 0.5] and f[0] == 0.25
+
+    def test_minimum_narrower_than_the_relative_stop_is_converged(self):
+        # the projected gradient is far above xtol, but f rises at every
+        # trial step the line search can resolve: the decrease left, 1e-10,
+        # is below the relative-decrease stop's 2.2e-9
+        def fun(u):
+            return 1.0 + 1e8 * float(np.sum((u - 0.5) ** 2)), 2e8 * (u - 0.5)
+
+        (f, x, nit, success, _), asked = drive(fun, [0.5 + 1e-9, 0.5], np.zeros(2), np.ones(2))
+        assert len(asked) > 2 and all(fun(p[0])[0] > 1.0 + 1e-10 for _, p in asked[1:])
+        assert success[0] and nit[0] == 0 and f[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_run_takes_the_steps_it_takes_alone(self, toy_profile, toy_table, policy, toy_hp):
+        fun, lower, upper = toy_objective(toy_profile, toy_table, policy, toy_hp)
+        starts = np.array([[0.2, 0.7, 0.5], [0.9, 0.1, 0.05], [0.5, 0.5, 0.9]])
+        together, _ = drive(fun, starts, lower, upper)
+        for i, x0 in enumerate(starts):
+            alone, _ = drive(fun, x0, lower, upper)
+            for got, want in zip(together, alone):
+                assert np.asarray(got[i]).tobytes() == np.asarray(want[0]).tobytes()
+
+
+def test_two_person_check_fit_reaches_the_reference(policy):
+    # the int_2p benchmark's check fit of its seed-2237 inputs (case 0, Hp,
+    # search seed 0). A start from large templates can creep to the
+    # spurious optimum where the free template is about 3 rfu (log10 L
+    # -1.644); scipy's L-BFGS-B reaches 0.86240 here, and the benchmark's
+    # prior mean of the likelihood is 10**-3.126
+    table = FrequencyTable(
+        {f"L{i}": {"10": 0.45, "11": 0.3, "12": 0.25} for i in range(2)}, n_individuals=500
+    )
+    profile = Profile(
+        {
+            "L0": [Peak("10", 1188.6606828662807), Peak("12", 703.6409345942885),
+                   Peak("11", 1415.6275640122994)],
+            "L1": [Peak("10", 769.7804299517721), Peak("12", 732.1902595903),
+                   Peak("11", 1446.693883928546)],
+        },
+        50.0,
+    )
+    donor = {"L0": Genotype("10", "12"), "L1": Genotype("10", "12")}
+    hp = Proposition(noc=2, fixed_contributors={0: donor}, label="Hp")
+    search = SearchSpec(c2=12.0, seed=0, n_starts=2, xtol=1e-3, max_iter=150, boundary_passes=False)
+    fit = maximize(profile, hp, table, policy, search=search)
+    assert fit.converged
+    assert fit.log10_max >= 0.8623991031173907 - 1e-6
 
 
 class PinnedSpace:
@@ -460,30 +584,25 @@ class PinnedSpace:
 def sequential_maximize(profile, proposition, table, policy, config, search):
     """`maximize` as it ran before its runs moved into lockstep and its faces
     into one cube: face by face, each on its own `PinnedSpace`, each start
-    through scipy.optimize.minimize on its own, one kernel call per
-    objective call. The oracle for the lockstep search."""
+    through `mle._quasi_newton` on its own, one kernel call per objective
+    call. The oracle for the lockstep search."""
     ev = build_evaluator(profile, proposition, table, policy, config)
 
-    def run_lbfgsb(space, starts):
+    def run_starts(space, starts):
         lower, upper = space.lower, np.ones(space.ndim)
         n = space.ndim
         evals = 0
-        excluded = None
 
         def value_and_gradient(u):
-            nonlocal evals, excluded
+            nonlocal evals
             up, down = np.minimum(u + mle._FD_STEP, upper), np.maximum(u - mle._FD_STEP, lower)
             pts = np.repeat(u[None], 2 * n + 1, axis=0)
             pts[1 : n + 1][np.diag_indices(n)] = up
             pts[n + 1 :][np.diag_indices(n)] = down
             ll = ev.marginal_log10(*space.from_cube(pts))
             evals += len(pts)
-            if excluded is None:
-                excluded = np.inf if ll[0] == NEG_INF else (
-                    -ll[0] + mle._EXCLUDED_SCALE * max(1.0, abs(ll[0]))
-                )
             if ll[0] == NEG_INF:
-                return excluded, np.zeros(n)
+                return np.inf, np.zeros(n)
             ll_up, ll_down = ll[1 : n + 1], ll[n + 1 :]
             ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
             rise = np.where(ok_up, ll_up, ll[0]) - np.where(ok_down, ll_down, ll[0])
@@ -493,18 +612,15 @@ def sequential_maximize(profile, proposition, table, policy, config, search):
 
         best_ll, best_u, iters, ok, oks = NEG_INF, None, 0, False, []
         for u0 in starts:
-            excluded = None
-            r = minimize(
-                value_and_gradient, np.clip(u0, lower, upper), jac=True,
-                method="L-BFGS-B", bounds=list(zip(lower, upper)),
-                options={"gtol": search.xtol, "maxiter": search.max_iter},
-            )
-            iters += r.nit
-            oks.append(bool(r.success))
-            if excluded == np.inf:
+            (fun,), (u,), (nit,), (success,), (excluded,) = drive(
+                value_and_gradient, u0, lower, upper, search.xtol, search.max_iter
+            )[0]
+            iters += int(nit)
+            oks.append(bool(success))
+            if excluded:
                 continue
-            if -r.fun > best_ll:
-                best_ll, best_u, ok = -float(r.fun), r.x, bool(r.success)
+            if -fun > best_ll:
+                best_ll, best_u, ok = -float(fun), u, bool(success)
         return best_ll, best_u, iters, evals, ok, oks
 
     rng = np.random.default_rng(search.seed)
@@ -534,7 +650,7 @@ def sequential_maximize(profile, proposition, table, policy, config, search):
         sub = PinnedSpace(noc, config, search, face)
         starts = list(sub.stratified_starts(n_strat.get(face, 0), rng))
         starts += [sub.to_cube(w) for w in warm_by_face.get(face, ())]
-        ll, u, it, ev_count, ok, oks = run_lbfgsb(sub, starts)
+        ll, u, it, ev_count, ok, oks = run_starts(sub, starts)
         iters += it
         evals += ev_count
         if best_warm is not None and best_warm[0] == face:
@@ -633,7 +749,8 @@ class TestLockstep:
             "face_wins_over_an_unconverged_interior"
         ]
         res = maximize(profile, prop, table, policy, config, search)
-        assert res.faces == ("template0_lo",) and res.converged
+        # either mirror of the one-contributor optimum may win
+        assert res.faces in {("template0_lo",), ("template1_lo",)} and res.converged
         # that face optimum as a warm start is reported as it stands: its run
         # converges, while the one interior run stops at max_iter
         again = replace(
