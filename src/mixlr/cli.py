@@ -80,13 +80,19 @@ def _load_proposition(path: str, default_label: str) -> Proposition:
     """Proposition from JSON: {"noc": int, "fixed": {"0": genotype-csv}, "label": ...}."""
     with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"proposition {path} must be a JSON object")
+    noc = spec["noc"]
+    if not isinstance(noc, int) or isinstance(noc, bool):
+        raise ValueError(f"proposition noc must be a JSON integer, got {noc!r}")
+    fixed = spec.get("fixed", {})
+    if not isinstance(fixed, dict):
+        raise ValueError(f"proposition fixed must be a JSON object, got {fixed!r}")
     fixed = {
         int(slot): mio.read_genotype_csv(os.path.join(os.path.dirname(path), rel))
-        for slot, rel in spec.get("fixed", {}).items()
+        for slot, rel in fixed.items()
     }
-    return Proposition(
-        noc=int(spec["noc"]), fixed_contributors=fixed, label=spec.get("label", default_label)
-    )
+    return Proposition(noc=noc, fixed_contributors=fixed, label=spec.get("label", default_label))
 
 
 def _cmd_toy(args) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul, ne, sub
 from typing import Optional
 
@@ -260,13 +260,9 @@ class _Run:
             self.end, self.landed = end, end != raw
             return
         free = self.free
-        every = all(free)
-        gq = g if every else [b if q else 0.0 for b, q in zip(g, free)]
+        gq = [b if q else 0.0 for b, q in zip(g, free)]
         d = [sum(map(mul, row, gq)) for row in self.H]
-        if every:
-            raw = list(map(sub, x, d))
-        else:
-            raw = [a - (e if q else b) for a, b, e, q in zip(x, g, d, free)]
+        raw = [a - (e if q else b) for a, b, e, q in zip(x, g, d, free)]
         end = list(map(_clip, raw, lo, hi))
         if end == raw:
             self.end, self.landed = end, False
@@ -333,11 +329,8 @@ class _Run:
         # run's first such update starts from s'y / y'y times the identity.
         # Where s'y <= 0, f curves down along the step and H grows.
         free = self.free
-        if all(free):
-            s, y = self.step, list(map(sub, g_t, self.g))
-        else:
-            s = [a if q else 0.0 for a, q in zip(self.step, free)]
-            y = [(a - b) if q else 0.0 for a, b, q in zip(g_t, self.g, free)]
+        s = [a if q else 0.0 for a, q in zip(self.step, free)]
+        y = [(a - b) if q else 0.0 for a, b, q in zip(g_t, self.g, free)]
         sy = sum(map(mul, s, y))
         if sy > 0:
             if self.fresh:
@@ -368,16 +361,17 @@ class _Run:
 
 
 def _quasi_newton(x0, lower, upper, xtol, max_iter):
-    """Minimise f from every row of x0 at once on its box [lower, upper], as
-    a generator: a projected BFGS step with an active set (Bertsekas 1982)
-    and a backtracking Armijo line search for each run, one point per live
-    run and round.
+    """Minimise f from every start of x0 at once, each on its own box, as a
+    generator: a projected BFGS step with an active set (Bertsekas 1982) and
+    a backtracking Armijo line search for each run, one point per live run
+    and round.
 
-    It yields (runs, points), the indices of the live runs and the point of
-    each whose value and gradient it needs, and is sent back (f, g) there,
-    f = inf where the point is excluded. An axis with lower == upper never
-    moves. It returns (f, x, iterations, success, started excluded), one
-    entry per row of x0.
+    x0, lower and upper hold one list of floats per run, over that run's own
+    axes. It yields (runs, points), the indices of the live runs and the
+    point of each, as a list, whose value and gradient it needs, and is sent
+    back (f, g): one value per live run, f = inf where the point is
+    excluded, and one gradient list per live run. It returns (f, x,
+    iterations, success, started excluded), lists with one entry per run.
 
     A run starts, and restarts, with no curvature: it steps along -g
     projected on the box, as L-BFGS-B's first iteration does, and its first
@@ -415,63 +409,38 @@ def _quasi_newton(x0, lower, upper, xtol, max_iter):
     expression over all runs costs more in per-call overhead than the
     arithmetic of every run together.
     """
-    n_runs, n = x0.shape
-    fun, point = np.full(n_runs, np.inf), np.clip(x0, lower, upper)
-    iters, success = np.zeros(n_runs, dtype=int), np.zeros(n_runs, dtype=bool)
-    f, g = yield np.arange(n_runs), point
-    live = f < np.inf
-    fun[live] = f[live]
-    # (row, its movable axes or None for every axis, run)
-    runs = []
-    for i in np.flatnonzero(live):
-        axes = np.flatnonzero(lower[i] < upper[i])
-        pick = None if len(axes) == n else axes.tolist()
-        take = (lambda v: v.tolist()) if pick is None else (lambda v, a=axes: v[a].tolist())
-        run = _Run(take(lower[i]), take(upper[i]), take(point[i]), float(f[i]), take(g[i]))
-        runs.append((int(i), pick, run))
+    point = [list(map(_clip, x, lo, hi)) for x, lo, hi in zip(x0, lower, upper)]
+    n_runs = len(point)
+    fun, iters, success = [math.inf] * n_runs, [0] * n_runs, [False] * n_runs
+    f, g = yield list(range(n_runs)), point
+    excluded = [v == math.inf for v in f]
 
-    def end(i, pick, run, ok):
-        fun[i], iters[i], success[i] = run.f, run.nit, ok
-        if pick is None:
-            point[i] = run.x
-        else:
-            point[i, pick] = run.x
+    def end(i, run, ok):
+        fun[i], point[i], iters[i], success[i] = run.f, run.x, run.nit, ok
 
     pending = []
-    for i, pick, run in runs:
+    for i in range(n_runs):
+        if excluded[i]:
+            continue
+        run = _Run(lower[i], upper[i], point[i], f[i], g[i])
         if run.pgn <= xtol:
-            end(i, pick, run, True)
+            end(i, run, True)
         elif run.plan():
-            pending.append((i, pick, run))
+            pending.append((i, run))
         else:
-            end(i, pick, run, run.ok)
-    index = None
+            end(i, run, run.ok)
     while pending:
-        if index is None:
-            index = np.array([i for i, _, _ in pending])
-        rows = []
-        for i, pick, run in pending:
-            if pick is None:
-                rows.append(run.t)
-            else:
-                row = [0.0] * n
-                for a, v in zip(pick, run.t):
-                    row[a] = v
-                rows.append(row)
-        f, g = yield index, np.array(rows)
+        f, g = yield [i for i, _ in pending], [run.t for _, run in pending]
         still = []
-        for (i, pick, run), f_t, g_t in zip(pending, f.tolist(), g.tolist()):
-            if pick is not None:
-                g_t = [g_t[a] for a in pick]
+        for (i, run), f_t, g_t in zip(pending, f, g):
             if run.take(f_t, g_t, xtol, max_iter):
-                end(i, pick, run, run.ok)
+                end(i, run, run.ok)
             elif run.plan():
-                still.append((i, pick, run))
+                still.append((i, run))
             else:
-                end(i, pick, run, run.ok)
-        if len(still) != len(pending):
-            pending, index = still, None
-    return fun, point, iters, success, ~live
+                end(i, run, run.ok)
+        pending = still
+    return fun, point, iters, success, excluded
 
 
 def _search(ev, space, starts, search):
@@ -489,87 +458,83 @@ def _search(ev, space, starts, search):
     each run takes the steps it would take alone. A NaN from the kernel is
     an error, never an exclusion.
 
-    Returns, per start, (-log10 L, cube point, iterations, success, whether
-    the run started on an exclusion), and the parameter points evaluated.
+    The live runs' points are one flat vector of (run, free axis) entries,
+    runs in order; `run_of` and `axes` name each entry's run and axis, and
+    `up_rows` and `down_rows` its two step rows in the block. A run's rows
+    are its centre, its up-steps, then its down-steps, and every cell of
+    them on one of its axes holds that entry's point or step: `cells` and
+    `source` scatter the points and steps into the block in one assignment.
+    The gradient comes back as the same flat entries, sliced per run.
+
+    Returns, per start, (-log10 L, point on its free axes, iterations,
+    success, whether the run started on an exclusion), and the parameter
+    points evaluated.
     """
-    n, ndim = len(starts), space.ndim
-    x0, lower, upper = np.zeros((n, ndim)), np.zeros((n, ndim)), np.zeros((n, ndim))
     floor = _lower_bounds(space)
-    for i, (free, u0) in enumerate(starts):
-        x0[i, free], lower[i, free], upper[i, free] = u0, floor[free], 1.0
-    driver = _quasi_newton(x0, lower, upper, search.xtol, search.max_iter)
+    driver = _quasi_newton(
+        [u0.tolist() for _, u0 in starts],
+        [floor[free].tolist() for free, _ in starts],
+        [[1.0] * len(free) for free, _ in starts],
+        search.xtol, search.max_iter,
+    )
     runs, x = next(driver)
     evals, n_live = 0, 0
     while True:
         if len(runs) != n_live:
-            # the block's layout, rebuilt only when a run ends: one entry
-            # per live run and free axis, runs in order; a run's rows are its
-            # centre, its up-steps, then its down-steps. A row is its run's
-            # point plus its offset, clipped to the run's box; up_index and
-            # down_index give each (run, axis) its two rows, the centre's on
-            # a held axis.
+            # the layout, rebuilt only when a run ends
             n_live = len(runs)
-            lo, hi = lower[runs], upper[runs]
-            run_of, axes = np.nonzero(lo < hi)
-            k = np.bincount(run_of, minlength=n_live)
+            free = [starts[i][0] for i in runs]
+            k = np.array([len(a) for a in free])
+            run_of, axes = np.repeat(np.arange(n_live), k), np.concatenate(free)
+            n_entries, lo = len(axes), floor[axes]
             sizes = 2 * k + 1
             first = np.cumsum(sizes) - sizes
-            centre_of = first[run_of]
-            up_rows = centre_of + 1 + np.arange(len(axes)) - (np.cumsum(k) - k)[run_of]
+            up_rows = first[run_of] + 1 + np.arange(n_entries) - (np.cumsum(k) - k)[run_of]
             down_rows = up_rows + k[run_of]
-            row_run = np.repeat(np.arange(n_live), sizes)
-            offset = np.zeros((len(row_run), ndim))
-            offset[up_rows, axes], offset[down_rows, axes] = _FD_STEP, -_FD_STEP
-            lo_rows, hi_rows = lo[row_run], hi[row_run]
-            up_index = np.repeat(first[:, None], ndim, axis=1)
-            down_index = up_index.copy()
-            up_index[run_of, axes], down_index[run_of, axes] = up_rows, down_rows
-            # the same (run, axis) entries of the block, as flat indices
-            up_at, down_at = up_index * ndim + np.arange(ndim), down_index * ndim + np.arange(ndim)
-            held = (lo == hi).astype(float)
-        pts = np.minimum(np.maximum(x.take(row_run, axis=0) + offset, lo_rows), hi_rows)
-        ll = ev.marginal_log10(*space.from_cube(pts))
+            # each entry's cells, one per row of its run; a cell holds the
+            # entry of (points, up-steps, down-steps) its row takes
+            reps = sizes[run_of]
+            entry = np.repeat(np.arange(n_entries), reps)
+            rows = np.repeat(first[run_of] - (np.cumsum(reps) - reps), reps) + np.arange(len(entry))
+            cells = rows * space.ndim + axes[entry]
+            source = entry + n_entries * ((rows == up_rows[entry]) + 2 * (rows == down_rows[entry]))
+            n_rows = int(sizes.sum())
+            ends = np.cumsum(k).tolist()
+            spans = list(zip([0] + ends[:-1], ends))
+        flat = np.fromiter(chain.from_iterable(x), float, n_entries)
+        up, down = np.minimum(flat + _FD_STEP, 1.0), np.maximum(flat - _FD_STEP, lo)
+        pts = np.zeros(n_rows * space.ndim)
+        pts[cells] = np.concatenate((flat, up, down)).take(source)
+        ll = ev.marginal_log10(*space.from_cube(pts.reshape(n_rows, space.ndim)))
         evals += len(ll)
         if (ll > NEG_INF).all():
-            # each step stops at its bound; a held axis has width 1 and no
-            # rise
             f = -ll[first]
-            width = pts.take(up_at) - pts.take(down_at) + held
-            grad = (ll.take(down_index) - ll.take(up_index)) / width
+            grad = (ll.take(down_rows) - ll.take(up_rows)) / (up - down)
         else:
             if np.isnan(ll).any():
-                run = runs[np.searchsorted(first, np.flatnonzero(np.isnan(ll))[0], side="right") - 1]
+                i = runs[np.searchsorted(first, np.flatnonzero(np.isnan(ll))[0], side="right") - 1]
                 raise FloatingPointError(
-                    f"the likelihood is NaN near run {run} of this search, started at cube "
-                    f"point {x0[run].tolist()} on axes {np.flatnonzero(upper[run]).tolist()}"
+                    f"the likelihood is NaN near run {i} of this search, started at cube "
+                    f"point {starts[i][1].tolist()} on axes {starts[i][0].tolist()}"
                 )
             # no gradient where the centre is excluded; a side the model
             # excludes falls back on the centre point
             centre = ll[first]
             ok = centre > NEG_INF
             f = np.where(ok, -centre, np.inf)
-            rows = ok[run_of]
-            xa = x[run_of[rows], axes[rows]]
-            c = ll[centre_of[rows]]
-            ll_up, ll_down = ll[up_rows[rows]], ll[down_rows[rows]]
+            c = np.where(ok, centre, 0.0)[run_of]
+            ll_up, ll_down = ll[up_rows], ll[down_rows]
             ok_up, ok_down = ll_up > NEG_INF, ll_down > NEG_INF
             rise = np.where(ok_up, ll_up, c) - np.where(ok_down, ll_down, c)
-            width = (
-                np.where(ok_up, pts[up_rows[rows], axes[rows]], xa)
-                - np.where(ok_down, pts[down_rows[rows], axes[rows]], xa)
+            width = np.where(ok_up, up, flat) - np.where(ok_down, down, flat)
+            grad = -np.divide(
+                rise, width, out=np.zeros(n_entries), where=(width > 0) & ok[run_of]
             )
-            grad = np.zeros(x.shape)
-            grad[run_of[rows], axes[rows]] = -np.divide(
-                rise, width, out=np.zeros_like(rise), where=width > 0
-            )
+        g = grad.tolist()
         try:
-            runs, x = driver.send((f, grad))
+            runs, x = driver.send((f.tolist(), [g[a:b] for a, b in spans]))
         except StopIteration as stop:
-            fun, point, nit, success, excluded = stop.value
-            return [
-                (float(f), u, int(it), bool(ok), bool(ex))
-                for f, u, it, ok, ex in zip(fun, point, nit, success, excluded)
-            ], evals
+            return list(zip(*stop.value)), evals
 
 
 def maximize(
@@ -635,12 +600,14 @@ def maximize(
     # stands takes the run started from it
     converged = best_warm in warm_run and results[warm_run[best_warm]][3]
     iters, won = 0, None
-    for fun, u, nit, success, started_excluded in results:
+    for (free, _), (fun, x, nit, success, started_excluded) in zip(starts, results):
         iters += nit
         if not started_excluded and -fun > best_ll:
-            best_ll, won, converged = -float(fun), u, success
+            best_ll, won, converged = -fun, (free, x), success
     if won is not None:
-        best_params, best_faces = space.params(won), _faces(space, won)
+        u = np.zeros(space.ndim)
+        u[won[0]] = won[1]
+        best_params, best_faces = space.params(u), _faces(space, u)
 
     if best_params is None:
         # every start and pass stayed at -inf: structural exclusion

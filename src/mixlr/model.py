@@ -290,6 +290,8 @@ class ParamSpace:
         }
         self.scalars = [name for name, on in active.items() if on]
         self.axes = [f"template{i}" for i in range(noc)] + self.scalars
+        # each scalar's pinned or neutral value, used where it has no axis
+        self._fixed = list(zip(active.values(), (box.c2, 1.0, 0.0, 0.0)))
         bounds = [(0.0, box.template_hi)] * noc + [ranges[name] for name in self.scalars]
         self.ndim = len(bounds)
         lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T
@@ -303,18 +305,15 @@ class ParamSpace:
         array; one without is its pinned or neutral value as a float.
         """
         x = self._lo + u * self._span
-        scalars = {"c2": self.box.c2, "slope": 1.0, "bw": 0.0, "fw": 0.0}
-        for j, name in enumerate(self.scalars, self.noc):
-            scalars[name] = x[:, j]
+        cols = iter(x.T[self.noc :])
+        c2, *rest = (next(cols) if on else value for on, value in self._fixed)
         if self.box.c2 is None:
             # exp(log(b)) need not be b: a face of the cube decodes to its
             # bound exactly
+            c2 = np.exp(c2)
             u_c2 = u[:, self.noc]
-            lo, hi = self.box.c2_bounds
-            scalars["c2"] = np.where(
-                u_c2 == 0.0, lo, np.where(u_c2 == 1.0, hi, np.exp(scalars["c2"]))
-            )
-        return (x[:, : self.noc], *scalars.values())
+            c2[u_c2 == 0.0], c2[u_c2 == 1.0] = self.box.c2_bounds
+        return (x[:, : self.noc], c2, *rest)
 
     def to_cube(self, params: MassParams) -> np.ndarray:
         """The (ndim,) cube point of params; the inverse of from_cube."""

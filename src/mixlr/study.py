@@ -13,6 +13,7 @@ spawning, so a (config, seed) pair regenerates every record exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -95,9 +96,27 @@ class LrRecord:
         return self.log10_lr is None
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _number_pair(name: str, value) -> tuple:
+    """value as (lo, hi), or a TypeError naming name if it is not a pair of
+    numbers."""
+    lo, hi = value if isinstance(value, (tuple, list)) and len(value) == 2 else (None, None)
+    if not (_is_number(lo) and _is_number(hi)):
+        raise TypeError(f"{name} must be a pair of numbers, got {value!r}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    """Shape and budgets of one simulation study."""
+    """Shape and budgets of one simulation study.
+
+    The counts are integers: noc, mc_samples and n_starts at least 1, the
+    case and non-donor counts at least 0. The simulation ranges are finite
+    and ordered, templates from 0 and c2 above 0.
+    """
 
     table: FrequencyTable
     noc: int = 2
@@ -115,8 +134,26 @@ class StudyConfig:
     n_starts: int = 3
 
     def __post_init__(self):
-        if self.noc < 1 or self.n_cases < 0 or self.n_nondonors_per_case < 0:
-            raise ValueError("study sizes must be non-negative, NoC >= 1")
+        least = {"noc": 1, "n_cases": 0, "n_nondonors_per_case": 0, "mc_samples": 1, "n_starts": 1}
+        for name, low in least.items():
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise TypeError(f"{name} must be an integer, got {v!r}")
+            if v < low:
+                raise ValueError(f"{name} must be at least {low}, got {v}")
+        at = self.analytical_threshold
+        if not _is_number(at):
+            raise TypeError(f"analytical_threshold must be a number, got {at!r}")
+        lo, hi = _number_pair("template_range", self.template_range)
+        if not 0 <= lo <= hi < math.inf:
+            raise ValueError(
+                f"template_range must be finite, ordered and >= 0, got {self.template_range}"
+            )
+        lo, hi = _number_pair("true_c2_range", self.true_c2_range)
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(
+                f"true_c2_range must be finite, ordered and > 0, got {self.true_c2_range}"
+            )
         if self.nondonor_mode not in (RANDOM, RESAMPLED):
             raise ValueError(f"unknown non-donor mode {self.nondonor_mode!r}")
         for e in self.engines:

@@ -291,11 +291,42 @@ class TestCli:
             ({"prior": {"c2_bounds": [50.0, 2.0]}}, "bounds"),
             ({"noc": "1"}, "study config"),
             ({"prior": {"c2": -1}}, "pinned c2"),
+            ({"mc_samples": -5}, "mc_samples"),
+            ({"mc_samples": 0}, "mc_samples"),
+            ({"noc": 2.5}, "noc"),
+            ({"n_starts": 1.5}, "n_starts"),
+            ({"n_starts": 0}, "n_starts"),
+            ({"n_cases": True}, "n_cases"),
+            ({"n_nondonors_per_case": -1}, "n_nondonors_per_case"),
+            ({"template_range": [1600.0, 400.0]}, "template_range"),
+            ({"template_range": [400.0, math.inf]}, "template_range"),
+            ({"template_range": [400.0]}, "template_range"),
+            ({"true_c2_range": [0.0, 20.0]}, "true_c2_range"),
+            ({"true_c2_range": ["8", "20"]}, "true_c2_range"),
+            ({"analytical_threshold": "50"}, "analytical_threshold"),
         ],
     )
     def test_study_bad_config_is_validation_error(self, tmp_path, extra, key, capsys):
         assert self._study(tmp_path, **extra) == EXIT_VALIDATION
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec", [{"noc": 2.7}, {"noc": "2"}, {"noc": True}, [1], {"noc": 2, "fixed": ["poi.csv"]}]
+    )
+    def test_lr_malformed_proposition_is_validation_error(self, toy_files, spec, capsys):
+        (toy_files / "hd.json").write_text(json.dumps(spec))
+        code = main(
+            [
+                "lr",
+                "--profile", str(toy_files / "profile.csv"),
+                "--freq", str(toy_files / "freq.csv"),
+                "--hp", str(toy_files / "hp.json"),
+                "--hd", str(toy_files / "hd.json"),
+                "--engine", "mle",
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "proposition" in capsys.readouterr().err
 
     def test_study_sets_model_config_and_prior(self, tmp_path, capsys):
         code = self._study(

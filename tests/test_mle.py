@@ -335,18 +335,19 @@ def drive(fun, x0, lower, upper, xtol=1e-6, max_iter=500):
     for."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     lower, upper = np.broadcast_to(lower, x0.shape), np.broadcast_to(upper, x0.shape)
-    driver = mle._quasi_newton(x0, lower, upper, xtol, max_iter)
+    driver = mle._quasi_newton(x0.tolist(), lower.tolist(), upper.tolist(), xtol, max_iter)
     asked = []
     runs, pts = next(driver)
     try:
         while True:
-            asked.append((runs.copy(), pts.copy()))
+            runs, pts = np.array(runs), np.array(pts)
+            asked.append((runs, pts))
             values = [fun(u) for u in pts]
-            f = np.array([v[0] for v in values], dtype=float)
-            g = np.array([v[1] for v in values], dtype=float).reshape(pts.shape)
+            f = [float(v[0]) for v in values]
+            g = [np.asarray(v[1], dtype=float).tolist() for v in values]
             runs, pts = driver.send((f, g))
     except StopIteration as stop:
-        return stop.value, asked
+        return tuple(np.array(v) for v in stop.value), asked
 
 
 def scipy_minimum(fun, x0, lower, upper):
@@ -759,6 +760,51 @@ class TestLockstep:
         warm = maximize(profile, prop, table, policy, config, again)
         assert warm.params is res.params and warm.converged
         assert warm == sequential_maximize(profile, prop, table, policy, config, again)
+
+
+class TestExclusionRounds:
+    def test_runs_of_different_widths_share_an_excluded_stencil(self, policy):
+        # a 3-person Hd whose likelihood is cut to -inf below c2 = 10.
+        # Interior runs (three templates and c2) and runs on the face that
+        # holds template1 at 0 press against the cut in the same rounds, so
+        # those rounds take the exclusion path with runs of 4 and 3 axes
+        prop = Proposition(noc=3, label="Hd")
+        search = SearchSpec(n_starts=4, seed=0, xtol=1e-4, template_hi=3000.0)
+        space = ParamSpace(3, ModelConfig(), search)
+        ev = build_evaluator(THREE, prop, THREE_TABLE, policy, ModelConfig())
+        kernel = ev.marginal_log10
+        mixed_rounds = []
+
+        def cut(templates, c2, *scalars):
+            out = kernel(templates, c2, *scalars)
+            out[c2 < 10.0] = NEG_INF
+            # the block holds each run's centre, then 2 steps per axis; a
+            # run's width is its count of templates not held at 0, plus c2
+            centres, widths, row = [], [], 0
+            while row < len(out):
+                k = space.ndim - int((templates[row] == 0).sum())
+                centres.append(row)
+                widths.append(k)
+                row += 2 * k + 1
+            stencil_cut = any(
+                out[c] > NEG_INF and (out[c + 1 : c + 2 * k + 1] == NEG_INF).any()
+                for c, k in zip(centres, widths)
+            )
+            if stencil_cut and len(set(widths)) > 1:
+                mixed_rounds.append(widths)
+            return out
+
+        ev.marginal_log10 = cut
+        rng = np.random.default_rng(0)
+        starts = [(np.arange(4), u) for u in mle._stratified_starts(4, 2, rng)]
+        starts += [(np.array([0, 2, 3]), u) for u in mle._stratified_starts(3, 2, rng)]
+        together, _ = mle._search(ev, space, starts, search)
+        assert mixed_rounds
+        # runs of both widths end on a finite optimum
+        assert {len(x) for f, x, *_ in together if f < math.inf} == {3, 4}
+        for got, start in zip(together, starts):
+            (alone,), _ = mle._search(ev, space, [start], search)
+            assert repr(got) == repr(alone)
 
 
 class TestLrHelpers:
