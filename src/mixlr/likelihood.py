@@ -341,15 +341,16 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Elements (batch rows x live sets x positions) in one kernel temporary, so
 # memory per chunk stays bounded at any NoC and any batch size: 2**16
-# float64 values, 512 KiB. On a 2-core Xeon with 2 MiB of L2 per core, per
-# point at batch 2048 on the two-contributor, two-locus shapes of 4 and 18
-# live sets per locus, 2**13 was 55-70% slower than 2**15 and 2**14 13-23%
-# slower. In-process CPU-time ratios of 2**16 to 2**15, with bit-identical
-# outputs: 0.90-0.93 on the int_2p Hp at batch 16384, 0.91-0.92 on its Hd at
-# batch 8256, and on the study_3p three-person Hd (1728 set-positions, so
-# 2**15 holds only 18 points) 0.74 at batch 33 and 0.86-0.87 at batch 336.
-# 2**17 was slower than 2**15 on the int_2p Hp shape (1.04), and 40-50%
-# slower on the 18-set shape.
+# float64 values, 512 KiB. On a 2-core Xeon with 2 MiB of L2 per core, with
+# each chunk's gather freed before the next chunk allocates its own, CPU time
+# per point relative to 2**16 (medians of two in-process runs of 5 and 7
+# alternations; outputs bit-identical): 2**15 took 1.27-1.31 on the study_3p
+# three-person Hd (1728 set-positions) at batch 33 and 336, and 1.08-1.38 on
+# the int_2p Hp at batch 16384 and its Hd at batch 8256. 2**17 took 0.88-0.99
+# on that Hd and 0.97-1.00 on the int_2p shapes, and 2**18 took 2.0 on the
+# int_2p Hp. No larger chunk gains on both workloads, so 2**16 stays. 2**13
+# and 2**14 were 55-70% and 13-23% slower per point than 2**15 on the int_2p
+# shapes.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -522,7 +523,10 @@ class LocusEvaluator:
         fw: np.ndarray,
     ) -> np.ndarray:
         """(batch, live sets) log10 per-set locus likelihoods: the transposed
-        view of a (live sets, batch) array.
+        view of a (live sets, batch) array. That array is the first position
+        of the call's whole (positions, live sets, batch) gather, and keeps
+        all of it alive: a caller drops the result before its next call, so
+        the next gather reuses the pages instead of taking fresh ones.
 
         templates has shape (batch, n_contrib); the scalar parameters are
         (batch,) arrays or numbers. Terms of a feature the model config
@@ -640,6 +644,10 @@ class MixtureEvaluator:
                 per_set = ev.set_log10_likelihoods(templates[part], *args).T
                 per_set += ev.log10_priors[:, None]
                 total[part] += _log10sumexp_sets(per_set)
+                # per_set holds the locus's whole gather: freed before the
+                # next locus or chunk allocates its own, the gather reuses
+                # its pages instead of faulting in fresh ones
+                del per_set
         return total
 
     def marginal_log10_params(self, params: MassParams) -> float:

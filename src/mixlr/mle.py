@@ -31,7 +31,8 @@ good as any nested one supplied as a warm start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, fields, replace
 from itertools import chain, combinations
 from operator import mul, ne, sub
 from typing import Optional
@@ -80,6 +81,10 @@ _CURVATURE = 3.0
 _MAX_BACKTRACKS = 20
 _CONCAVE_GROWTH = 2.0
 _FTOL = 2.2204460492503131e-09
+# The outcome of every run `maximize` has finished, per evaluator: a dict
+# from the run's settings, free axes and start point to what `_search`
+# returned for it. An evaluator's entry dies with the evaluator.
+_FINISHED: "weakref.WeakKeyDictionary[MixtureEvaluator, dict]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,9 @@ class SearchSpec(ParamBox):
 class MleResult:
     """One hypothesis's fitted parameters and maximum log10 likelihood.
 
-    function_evals counts the parameter points evaluated. faces names the
+    function_evals counts the parameter points this fit's own call
+    evaluated: a run `maximize` reuses from an earlier call on the same
+    evaluator counts none, while its iterations still count. faces names the
     box faces the optimum touches, as "<axis>_lo" or "<axis>_hi" with the
     axes of `ParamSpace.axes`; a template held at exactly 0 is on its
     "_lo" face.
@@ -558,10 +565,18 @@ def maximize(
     lockstep; a face that holds every template at 0 has nothing to search.
     A run that starts on an exclusion does not compete, and a NaN
     likelihood raises FloatingPointError. The best run wins, faces and
-    starts taken in order. Every warm start is also scored as it stands, so a warm start
-    can never be beaten downward. converged is that of the run whose point
-    is reported; for a warm start reported as it stands, that of the run
-    started from it.
+    starts taken in order. Every warm start is also scored as it stands, so
+    a warm start can never be beaten downward. converged is that of the run
+    whose point is reported; for a warm start reported as it stands, that of
+    the run started from it.
+
+    A run's path is fixed by the evaluator, the box and model config, xtol,
+    max_iter, its free axes and its exact start point; the runs that share
+    its rounds do not change it. So every run finished on an evaluator is
+    kept for as long as the evaluator lives, and a later call on it takes
+    such a run as it ended and searches only the starts it has not seen: the
+    result is what a fresh evaluator would give, but for function_evals,
+    which counts only the points this call evaluated.
     """
     config = config or ModelConfig()
     ev = evaluator if evaluator is not None else build_evaluator(
@@ -594,7 +609,18 @@ def maximize(
         for j in warm_by_face.get(face, ()):
             warm_run[j] = len(starts)
             starts.append((free, space.to_cube(search.extra_starts[j])[free]))
-    results, evals = _search(ev, space, starts, search)
+
+    # a run this evaluator has finished before is taken as it ended
+    done = _FINISHED.setdefault(ev, {})
+    box = tuple(getattr(search, f.name) for f in fields(ParamBox))
+    setting = (config, box, search.xtol, search.max_iter)
+    keys = [(setting, tuple(free.tolist()), u0.tobytes()) for free, u0 in starts]
+    todo = {k: start for k, start in zip(keys, starts) if k not in done}
+    evals = 0
+    if todo:
+        found, evals = _search(ev, space, list(todo.values()), search)
+        done.update(zip(todo, found))
+    results = [done[k] for k in keys]
 
     # converged is the reported point's run: a warm start reported as it
     # stands takes the run started from it
@@ -637,7 +663,9 @@ def polish(
     POLISH_MARGIN, else `best` itself.
 
     The fit is `maximize` with one stratified start, no boundary passes and
-    `start` as its only warm start, which runs in its own face.
+    `start` as its only warm start, which runs in its own face. On the
+    evaluator `best` was fitted with, a stratified start that fit already ran
+    is reused, not run again, so the fit evaluates only the warm start's run.
     """
     cand = maximize(
         profile, proposition, table, policy, config,

@@ -260,6 +260,9 @@ class ParamBox:
         for lo, hi in (self.c2_bounds, self.slope_bounds):
             if not (0 < lo < hi and math.isfinite(hi)):
                 raise ValueError("box bounds must be finite and ordered")
+        # a pair read from JSON is a list; as a tuple the box is hashable
+        object.__setattr__(self, "c2_bounds", tuple(self.c2_bounds))
+        object.__setattr__(self, "slope_bounds", tuple(self.slope_bounds))
 
 
 class ParamSpace:

@@ -115,7 +115,8 @@ class StudyConfig:
 
     The counts are integers: noc, mc_samples and n_starts at least 1, the
     case and non-donor counts at least 0. The simulation ranges are finite
-    and ordered, templates from 0 and c2 above 0.
+    and ordered, templates from 0 and c2 above 0. engines is a list of
+    distinct engine names, at least one.
     """
 
     table: FrequencyTable
@@ -156,9 +157,17 @@ class StudyConfig:
             )
         if self.nondonor_mode not in (RANDOM, RESAMPLED):
             raise ValueError(f"unknown non-donor mode {self.nondonor_mode!r}")
-        for e in self.engines:
+        engines = self.engines
+        if not isinstance(engines, (tuple, list)):
+            raise TypeError(f"engines must be a list of engine names, got {engines!r}")
+        if not engines:
+            raise ValueError("engines must name at least one engine")
+        for e in engines:
             if e not in (ENGINE_MLE, ENGINE_INT):
-                raise ValueError(f"unknown engine {e!r}")
+                raise ValueError(f"unknown engine {e!r} in engines")
+        # each engine's seed is spawned by its position in the list
+        if len(set(engines)) != len(engines):
+            raise ValueError(f"engines must not repeat an engine, got {list(engines)}")
 
 
 def _locus_sampler(table: FrequencyTable, locus: str):

@@ -177,12 +177,13 @@ def test_criterion_4_nested_mle_monotonicity():
     assert ok
 
 
-@pytest.fixture(scope="module")
-def divergence_studies():
-    t0 = time.time()
-    # Few loci keep the data weak enough that the adaptive maximization can
-    # accommodate unrelated profiles; the wide prior caps the template scale
-    # near the simulated range so the quadrature resolves the likelihood peak.
+def divergence_configs():
+    """The criteria 5/6 studies, as {tag: (StudyConfig, seed)}.
+
+    Few loci keep the data weak enough that the adaptive maximization can
+    accommodate unrelated profiles; the wide prior caps the template scale
+    near the simulated range so the quadrature resolves the likelihood peak.
+    """
     prior = PriorSpec(template_hi=3000.0)
     two = StudyConfig(
         table=study_table(n_loci=2),
@@ -206,11 +207,17 @@ def divergence_studies():
         n_starts=3,
         prior=prior,
     )
+    return {"2p": (two, 5), "3p": (three, 6)}
+
+
+@pytest.fixture(scope="module")
+def divergence_studies():
+    t0 = time.time()
     out = {
-        "2p": divergence_summary(run_study(two, seed=5)),
-        "3p": divergence_summary(run_study(three, seed=6)),
-        "elapsed": time.time() - t0,
+        tag: divergence_summary(run_study(cfg, seed=seed))
+        for tag, (cfg, seed) in divergence_configs().items()
     }
+    out["elapsed"] = time.time() - t0
     return out
 
 

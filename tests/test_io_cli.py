@@ -304,6 +304,9 @@ class TestCli:
             ({"true_c2_range": [0.0, 20.0]}, "true_c2_range"),
             ({"true_c2_range": ["8", "20"]}, "true_c2_range"),
             ({"analytical_threshold": "50"}, "analytical_threshold"),
+            ({"engines": "MLE"}, "engines"),
+            ({"engines": []}, "engines"),
+            ({"engines": ["MLE", "MLE"]}, "engines"),
         ],
     )
     def test_study_bad_config_is_validation_error(self, tmp_path, extra, key, capsys):

@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from itertools import combinations
 
@@ -23,6 +25,7 @@ from mixlr.mle import (
     lr_from_log10,
     lr_ml,
     maximize,
+    polish,
 )
 from mixlr.model import (
     Genotype,
@@ -45,6 +48,24 @@ def lattice_argmax(profile, table, policy, prop, lattices):
     ll = ev.marginal_log10(mesh, 12.0)
     i = int(np.argmax(ll))
     return tuple(mesh[i]), float(ll[i])
+
+
+def same_but_evals(a, b):
+    """a and b agree by repr in everything but function_evals."""
+    return repr(replace(a, function_evals=0)) == repr(replace(b, function_evals=0))
+
+
+def count_points(ev):
+    """A list that each kernel call of ev appends its batch size to."""
+    points = []
+    kernel = ev.marginal_log10
+
+    def counted(templates, *scalars):
+        points.append(len(templates))
+        return kernel(templates, *scalars)
+
+    ev.marginal_log10 = counted
+    return points
 
 
 class TestSearchSpec:
@@ -301,14 +322,7 @@ class TestBoxFaces:
 class TestEvaluationCount:
     def test_counts_parameter_points(self, toy_profile, toy_table, policy, toy_hp):
         ev = build_evaluator(toy_profile, toy_hp, toy_table, policy, ModelConfig())
-        points = []
-        kernel = ev.marginal_log10
-
-        def counted(templates, *scalars):
-            points.append(len(templates))
-            return kernel(templates, *scalars)
-
-        ev.marginal_log10 = counted
+        points = count_points(ev)
         res = maximize(
             toy_profile, toy_hp, toy_table, policy,
             search=SearchSpec(n_starts=2, seed=3), evaluator=ev,
@@ -805,6 +819,92 @@ class TestExclusionRounds:
         for got, start in zip(together, starts):
             (alone,), _ = mle._search(ev, space, [start], search)
             assert repr(got) == repr(alone)
+
+
+class TestRunReuse:
+    """`maximize` reuses every run it has finished on the same evaluator."""
+
+    def test_polish_after_a_one_start_fit_runs_only_the_warm_start(
+        self, toy_profile, toy_table, policy, toy_hp
+    ):
+        config, search = ModelConfig(), SearchSpec(n_starts=1, seed=4)
+        ev = build_evaluator(toy_profile, toy_hp, toy_table, policy, config)
+        fit = maximize(toy_profile, toy_hp, toy_table, policy, config, search, evaluator=ev)
+        start = MassParams((700.0, 300.0), 10.0)
+        # a best that any fit beats, so polish returns its own fit
+        floor = replace(fit, log10_max=NEG_INF)
+        points = count_points(ev)
+        got = polish(floor, start, toy_profile, toy_hp, toy_table, policy, config, search, ev)
+        # the first call scores the warm start as it stands, which is no
+        # search point
+        assert got is not floor and points[0] == 1
+        assert got.function_evals == sum(points[1:]) > 0
+
+        # the fit's interior start is polish's stratified start, so only the
+        # run from `start` is searched
+        space = ParamSpace(toy_hp.noc, config, search)
+        fresh = build_evaluator(toy_profile, toy_hp, toy_table, policy, config)
+        _, warm_evals = mle._search(
+            fresh, space, [(np.arange(space.ndim), space.to_cube(start))], search
+        )
+        assert got.function_evals == warm_evals
+
+        fresh = build_evaluator(toy_profile, toy_hp, toy_table, policy, config)
+        want = polish(floor, start, toy_profile, toy_hp, toy_table, policy, config, search, fresh)
+        assert want.function_evals > got.function_evals
+        assert same_but_evals(got, want)
+
+    def test_a_repeated_fit_evaluates_nothing(self, toy_profile, toy_table, policy, toy_hp):
+        search = SearchSpec(n_starts=3, seed=2)
+        ev = build_evaluator(toy_profile, toy_hp, toy_table, policy, ModelConfig())
+        first = maximize(toy_profile, toy_hp, toy_table, policy, search=search, evaluator=ev)
+        points = count_points(ev)
+        again = maximize(toy_profile, toy_hp, toy_table, policy, search=search, evaluator=ev)
+        assert points == [] and again.function_evals == 0
+        assert same_but_evals(again, first)
+        # runs never cross evaluators, even of the same proposition
+        other = build_evaluator(toy_profile, toy_hp, toy_table, policy, ModelConfig())
+        assert maximize(
+            toy_profile, toy_hp, toy_table, policy, search=search, evaluator=other
+        ) == first
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(xtol=1e-5),
+            dict(max_iter=5),
+            dict(c2_bounds=(3.0, 40.0)),
+            dict(template_hi=2500.0),
+            dict(config=ModelConfig(forward_stutter=True)),
+        ],
+    )
+    def test_another_setting_runs_again(self, policy, change):
+        # the evaluator models both stutters, so a config that frees the
+        # forward proportion instead of the back one moves other axes
+        both = ModelConfig(back_stutter=True, forward_stutter=True)
+        prop = Proposition(noc=2)
+        config = ModelConfig(back_stutter=True)
+        search = SearchSpec(n_starts=2, seed=1, xtol=1e-4, template_hi=3000.0)
+        ev = build_evaluator(STUTTER, prop, STUTTER_TABLE, policy, both)
+        maximize(STUTTER, prop, STUTTER_TABLE, policy, config, search, evaluator=ev)
+        change = dict(change)
+        config = change.pop("config", config)
+        search = replace(search, **change)
+        points = count_points(ev)
+        got = maximize(STUTTER, prop, STUTTER_TABLE, policy, config, search, evaluator=ev)
+        fresh = build_evaluator(STUTTER, prop, STUTTER_TABLE, policy, both)
+        want = maximize(STUTTER, prop, STUTTER_TABLE, policy, config, search, evaluator=fresh)
+        assert got.function_evals == sum(points) > 0
+        assert repr(got) == repr(want)
+
+    def test_kept_runs_die_with_their_evaluator(self, toy_profile, toy_table, policy, toy_hp):
+        ev = build_evaluator(toy_profile, toy_hp, toy_table, policy, ModelConfig())
+        count_points(ev)
+        maximize(toy_profile, toy_hp, toy_table, policy, search=SearchSpec(n_starts=1), evaluator=ev)
+        ref = weakref.ref(ev)
+        del ev
+        gc.collect()
+        assert ref() is None
 
 
 class TestLrHelpers:
