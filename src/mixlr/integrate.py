@@ -19,15 +19,22 @@ the number of points in its orbit. The weighted mean is the full-mesh midpoint
 sum, so only rounding moves; with two unknowns a level of n points per axis
 costs n(n+1)/2 evaluations where it cost n**2.
 
+Each level's mesh is built once per process (`_midpoint_mesh` is cached)
+and passes the kernel its points' integer cells with the points, so the
+kernel scores each expectation row once per combination of the cells it
+reads (see `mixlr.likelihood`).
+
 Genotype sets are summed exactly inside the integrand through the same
 vectorised evaluator the MLE engine uses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -73,17 +80,21 @@ class IntegralResult:
     std_error: Optional[float] = None
 
 
+@functools.lru_cache(maxsize=16)
 def _midpoint_mesh(
-    n: int, ndim: int, exchangeable: Sequence[int] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights): one midpoint of the unit cube's n**ndim equal cells
-    per orbit under permutations of the `exchangeable` axes, weighted by the
-    orbit's size.
+    n: int, ndim: int, exchangeable: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, cells, weights): one midpoint of the unit cube's n**ndim
+    equal cells per orbit under permutations of the `exchangeable` axes, its
+    cell's integer index on every axis, and the orbit's size.
 
     The representative has non-decreasing cell indices along the exchangeable
     axes; its orbit holds k!/prod(run length!) points for k such axes, where
     the runs are its groups of equal indices. With at most one exchangeable
     axis this is the full mesh, last axis varying fastest, with unit weights.
+    A point is (cell + 0.5) / n on every axis. The 16 meshes last used are
+    kept, so each is built once per process, and every caller shares its
+    arrays: they are read-only.
     """
     # one axis at a time, each row branches into the indices it may take on
     # the next axis: from the last exchangeable index on an exchangeable
@@ -107,7 +118,20 @@ def _midpoint_mesh(
     for j in range(1, ex.shape[1]):
         run = np.where(ex[:, j] == ex[:, j - 1], run + 1.0, 1.0)
         runs *= run
-    return (idx + 0.5) / n, math.factorial(len(exchangeable)) / runs
+    # the cells in the narrowest integer type that holds n - 1
+    cells = idx.astype(np.min_scalar_type(n - 1))
+    mesh = (idx + 0.5) / n, cells, math.factorial(len(exchangeable)) / runs
+    for array in mesh:
+        array.setflags(write=False)
+    return mesh
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise unless value is an integer (not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def _mean_of_log10(
@@ -152,7 +176,20 @@ def marginal_quadrature(
     dimensions (use marginal_monte_carlo there). Each level is the full-mesh
     midpoint sum, evaluated once per orbit of the unknown contributors'
     template axes (see the module docstring).
+
+    resolution is None, for the default points per axis of the dimension,
+    or an integer >= 1; max_levels is an integer >= 1 and rtol a finite
+    number >= 0. An evaluator given is called as
+    `marginal_log10(*space.from_cube(points), cells=cells)` with each
+    level's mesh cells.
     """
+    if resolution is not None:
+        _check_count("resolution", resolution, 1)
+    _check_count("max_levels", max_levels, 1)
+    if isinstance(rtol, bool) or not isinstance(rtol, numbers.Real):
+        raise TypeError(f"rtol must be a number, got {rtol!r}")
+    if not 0.0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
     config = config or ModelConfig()
     space = ParamSpace(proposition.noc, config, prior)
     if space.ndim > MAX_QUADRATURE_DIMS:
@@ -160,7 +197,7 @@ def marginal_quadrature(
             f"{space.ndim} active dimensions exceed the quadrature cap "
             f"{MAX_QUADRATURE_DIMS}; use marginal_monte_carlo"
         )
-    n = resolution or _INIT_N[space.ndim]
+    n = _INIT_N[space.ndim] if resolution is None else resolution
     ev = evaluator if evaluator is not None else build_evaluator(
         profile, proposition, table, policy, config
     )
@@ -170,8 +207,8 @@ def marginal_quadrature(
     converged, level = False, 0
     while True:
         level += 1
-        points, weights = _midpoint_mesh(n, space.ndim, unknown)
-        lls = ev.marginal_log10(*space.from_cube(points))
+        points, cells, weights = _midpoint_mesh(n, space.ndim, unknown)
+        lls = ev.marginal_log10(*space.from_cube(points), cells=cells)
         value, log10_value, _ = _mean_of_log10(lls, weights)
         if prev is not None and (math.isinf(value) or math.isinf(prev[0])):
             # beyond the float range inf - inf is nan: the same relative
@@ -206,8 +243,7 @@ def marginal_monte_carlo(
     evaluator: Optional[MixtureEvaluator] = None,
 ) -> IntegralResult:
     """Plain prior-sampling Monte Carlo estimate of the marginal likelihood."""
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    _check_count("n_samples", n_samples, 1000)
     config = config or ModelConfig()
     ev = evaluator if evaluator is not None else build_evaluator(
         profile, proposition, table, policy, config

@@ -26,6 +26,25 @@ the same floating-point operations as it would in a kernel that scores
 every set on its own and sums its position terms, so sharing rows changes
 no result, bit for bit.
 
+On a mesh the rule extends from sets to points. A caller that passes each
+point's integer cells (`MixtureEvaluator.marginal_log10`'s `cells`, one
+column per array-valued argument; the quadrature passes its mesh indices)
+promises that points with the same cell in a column have the same value
+there. A row's term reads only some of those columns: the templates with a
+copy in its own or its stutter sources' vectors, and c2, the slope and the
+stutter proportions where they are arrays and the row depends on them.
+Rows that read the same columns form a group, and a group whose columns
+have few enough combinations for the call's points is scored once per
+combination, at one point of each, over the whole call; each point then
+takes its group's term by its combination. The other rows are scored per
+point, chunk by chunk, as without cells. The bits hold because the term of
+a row at a point is the same sequence of operations on the same values:
+a template the row does not read enters its expectation as 0 * t, which is
+exactly 0 for a finite t, a stutter term it does not read as prop * 0, and a slope it
+does not read as slope**0 = 1, so the representative's other values cannot
+reach the result; and the cube decodes each axis elementwise, so equal
+cells give equal values.
+
 The per-set sums stay a (sets, batch) block, so the steps over the batch
 run along its long contiguous axis; the locus evaluator returns the block
 as its (batch, sets) transposed view. The marginal adds the log priors in
@@ -43,7 +62,7 @@ float -inf in log10 space and is a legal value end to end.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -353,6 +372,77 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # shapes.
 _CHUNK_ELEMENTS = 1 << 16
 
+# Row terms a row group must save, against scoring it at every point, to be
+# scored once per cell combination instead: scoring a group costs one more
+# pass of about 25 numpy calls (about 35 us on a 2-core Xeon), while a row
+# term costs 10-40 ns, and each chunk then takes the group's terms with one
+# more call. Below about 4096 saved terms, as on int_2p's levels of 16 and
+# 32 points per axis or a study's 336-point grid, a group costs more than
+# it saves.
+_SHARED_ROW_SAVING = 4096
+
+
+class _Rows(NamedTuple):
+    """Some of a locus's expectation rows, in ascending order, so the
+    observed positions' rows come first."""
+
+    copies: np.ndarray  # (contributors, parts x rows, 1), part by part
+    positions: np.ndarray  # (rows,) position of each row
+    n_obs: int  # rows at an observed position
+    ln_obs: np.ndarray  # (observed rows, 1) ln of the observed heights
+    zero_fill: np.ndarray  # (rows, 1) each row's term where its expectation is 0
+
+
+class _SharedRows(NamedTuple):
+    """One call's row groups scored once per combination of their cells.
+
+    `rest` are the rows scored per point; `tables` holds each other group's
+    (rows, codes) terms with the code of every point; `row_index` is the row
+    of each (position, live set) in the order [rest, then each group's
+    rows]."""
+
+    rest: _Rows
+    tables: list
+    row_index: np.ndarray
+
+    def at(self, part: slice) -> "_SharedRows":
+        """The same rows for the points of one chunk."""
+        return self._replace(tables=[(table, code[part]) for table, code in self.tables])
+
+
+class _CellCombinations:
+    """The combinations of one call's cells over a subset of their columns.
+
+    A column's cells are shifted to start at 0, so a combination's code is
+    a mixed-radix number below the product of the columns' spans. Each
+    code that occurs is given one of its points; a code that does not
+    occur is given point 0, whose table entry no point takes.
+    """
+
+    def __init__(self, cells: np.ndarray):
+        self.batch = len(cells)
+        columns = np.array(cells.T, dtype=np.intp, order="C")
+        columns -= columns.min(axis=1, keepdims=True)
+        self._columns = columns
+        self._spans = [int(s) + 1 for s in columns.max(axis=1)]
+        self._found: dict = {}
+
+    def count(self, columns: tuple) -> int:
+        """The number of codes of the columns."""
+        return math.prod(self._spans[c] for c in columns)
+
+    def find(self, columns: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """(a point of each code, each point's code)."""
+        if columns not in self._found:
+            code = np.zeros(self.batch, dtype=np.intp)
+            for c in columns:
+                code *= self._spans[c]
+                code += self._columns[c]
+            first = np.zeros(self.count(columns), dtype=np.intp)
+            first[code] = np.arange(self.batch)
+            self._found[columns] = first, code
+        return self._found[columns]
+
 
 class LocusEvaluator:
     """Vectorised per-locus likelihood over batches of mass parameters.
@@ -385,6 +475,21 @@ class LocusEvaluator:
     and its position terms summed, so the results are those of such a
     per-set kernel, bit for bit; the cost of the transcendental work grows
     with the rows, not with the sets.
+
+    With cells (see the module docstring), a call first groups the rows by
+    the cell columns their term reads, from each row's copy vectors, its
+    position's size exponent and which of c2, slope, bw and fw are arrays.
+    A group is scored once per code of its columns (as many codes as the
+    product of their cell spans) over the whole call where that saves at
+    least _SHARED_ROW_SAVING row terms against scoring it at every point,
+    smallest table first within a budget of max(points, _CHUNK_ELEMENTS)
+    elements per locus; a group that reads no column is its zero fill. Each
+    chunk then scores the remaining rows per point and takes each grouped
+    row's term by its points' codes into the same (rows, batch) table, in a
+    row order the call's gather index follows. With c2 pinned, an int_2p
+    locus's rows that read one template take n values on a level of n**2 or
+    n(n+1)/2 points. One routine, `_row_terms`, scores rows on both paths,
+    so the density and dropout math are written once.
 
     `copies` (live sets, contributors, positions) and `log10_priors` hold
     the live sets only; `live_sets` maps them back to their index in the
@@ -488,6 +593,7 @@ class LocusEvaluator:
                     key[targets, :, 1 + part * n_c : 1 + (part + 1) * n_c] = own[sources]
                 part += 1
         rows, inverse = _distinct_rows(key.reshape(n_pos * n_live, key.shape[2]))
+        n_rows = len(rows)
         # the row of each (position, live set)
         self._row_index = inverse.reshape(n_pos, n_live)
         self.row_positions = rows[:, 0].astype(int)
@@ -496,14 +602,12 @@ class LocusEvaluator:
             self.row_positions[: self._n_obs_rows], None
         ]
         # each row's term where its expectation is 0
-        self._zero_fill = np.zeros((len(rows), 1))
+        self._zero_fill = np.zeros((n_rows, 1))
         self._zero_fill[: self._n_obs_rows] = NEG_INF
-        # (contributors, parts x rows, 1): every row's own copies, then every
+        # (contributors, parts, rows): every row's own copies, then every
         # row's copies at each modelled stutter source
-        vectors = rows[:, 1:].reshape(len(rows), n_parts, n_c)
-        self._row_copies = np.ascontiguousarray(
-            vectors.transpose(2, 1, 0).reshape(n_c, -1), dtype=float
-        )[..., None]
+        vectors = rows[:, 1:].reshape(n_rows, n_parts, n_c)
+        self._row_copies = np.ascontiguousarray(vectors.transpose(2, 1, 0), dtype=float)
 
         sizes = {p.allele: p.size for p in peaks if p.size is not None}
         exponent = np.array(
@@ -513,6 +617,156 @@ class LocusEvaluator:
         self._size_exponent = (
             exponent.reshape(-1, 1) if config.degradation and np.any(exponent) else None
         )
+        self._all_rows = _Rows(
+            self._row_copies.reshape(n_c, -1, 1),
+            self.row_positions,
+            self._n_obs_rows,
+            self._ln_obs,
+            self._zero_fill,
+        )
+        # each row's read slots as bits (see _read_keys), on the first call
+        # with cells
+        self._keys: Optional[np.ndarray] = None
+
+    def _read_keys(self) -> np.ndarray:
+        """(rows,) the parameter slots each row's term reads, as bits: bit c
+        for template c, then c2, slope, bw and fw.
+
+        A row reads a template through a copy of any part, a stutter
+        proportion through a copy at its source, and c2 and the slope (where
+        its position has a nonzero size exponent) if it reads any template;
+        a row with no copy is 0 at every point and reads nothing.
+        """
+        copied = self._row_copies != 0  # (contributors, parts, rows)
+        templates = copied.any(axis=1)
+        scored = templates.any(axis=0)
+        none = np.zeros_like(scored)
+        slope = none if self._size_exponent is None else (
+            scored & (self._size_exponent[self.row_positions, 0] != 0)
+        )
+        sources = iter(copied.any(axis=0)[1:])
+        bw, fw = (next(sources) if on else none for on in self._stutter)
+        reads = np.vstack([templates, scored, slope, bw, fw]).astype(np.int64)
+        return (reads << np.arange(len(reads))[:, None]).sum(axis=0)
+
+    def _rows(self, rows: np.ndarray) -> _Rows:
+        """The block of the given rows, which are in ascending order."""
+        n_obs = int(np.searchsorted(rows, self._n_obs_rows))
+        return _Rows(
+            self._row_copies[:, :, rows].reshape(self.n_contrib, -1, 1),
+            self.row_positions[rows],
+            n_obs,
+            self._ln_obs[rows[:n_obs]],
+            self._zero_fill[rows],
+        )
+
+    def _row_terms(self, rows: _Rows, templates, c2, slope, bw, fw, out: np.ndarray) -> None:
+        """The complete log10 term of each of the rows at each point, into
+        out, (rows, batch): the peak density on an observed position's row,
+        the dropout mass on any other."""
+        # (linear terms, batch), summed in contributor order: a sum of three
+        # or more templates rounds by its order, and a BLAS matrix product
+        # changes that order with the batch size
+        copies, positions, n_obs, ln_obs, zero_fill = rows
+        columns = np.ascontiguousarray(templates.T)
+        lin = copies[0] * columns[0]
+        for c in range(1, self.n_contrib):
+            lin += copies[c] * columns[c]
+
+        # (rows, batch) expectations; a row whose stutter source is not a
+        # position adds prop * 0, which leaves it unchanged
+        n_rows = len(positions)
+        e = lin[:n_rows]
+        props = [prop for prop, on in zip((bw, fw), self._stutter) if on]
+        for j, prop in enumerate(props, 1):
+            e += prop * lin[j * n_rows : (j + 1) * n_rows]
+        if self._size_exponent is not None:
+            e *= np.power(slope, self._size_exponent).take(positions, axis=0)
+
+        term = out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(e, out=term)
+            # normal log-density of x = log10(O/E) with variance c2/E:
+            # -x^2 E / (2 c2) - ln(2 pi c2) / 2 + ln(E) / 2, in natural logs
+            eo, obs = e[:n_obs], term[:n_obs]
+            sq = ln_obs - obs
+            sq *= sq
+            sq *= eo
+            sq /= c2 * (LN10 * LN10)
+            obs -= np.log(2 * math.pi * c2)
+            obs -= sq
+            obs /= 2 * LN10
+            # dropout mass below the threshold at unobserved positions
+            eu, z = e[n_obs:], term[n_obs:]
+            np.subtract(self._ln_threshold, z, out=z)
+            z *= np.sqrt(eu)
+            z /= LN10 * np.sqrt(c2)
+            log_ndtr(z, out=z)
+            z /= LN10
+        # a row with zero expectation: an observed peak there excludes its
+        # set, and an unobserved position adds nothing
+        np.copyto(term, zero_fill, where=e == 0)
+
+    def _shared_rows(
+        self, templates: np.ndarray, scalars: Sequence[np.ndarray], combos: _CellCombinations
+    ) -> Optional[_SharedRows]:
+        """The row groups of one call scored once per combination of their
+        cells, or None where no group pays.
+
+        scalars are c2, slope, bw and fw as float arrays, each 0-d or one
+        value per point; the cells have a column for each template and for
+        each scalar that is not 0-d. Rows are grouped by the cell columns
+        their term reads. A group is scored once per code of its columns
+        where that saves at least _SHARED_ROW_SAVING row terms against
+        scoring it at every point, smallest table first, while the tables
+        fit a budget of max(points, _CHUNK_ELEMENTS) elements per locus; a
+        group that reads no column is its zero fill. The other rows are
+        scored per point, chunk by chunk, and come first in the row order.
+        """
+        if self._keys is None:
+            self._keys = self._read_keys()
+        arrays = [True] * self.n_contrib + [v.ndim > 0 for v in scalars]
+        column = np.cumsum(arrays) - 1  # the cell column of each array slot
+        mask = sum(1 << slot for slot, on in enumerate(arrays) if on)
+        keys, group_of_row, counts = np.unique(
+            self._keys & mask, return_inverse=True, return_counts=True
+        )
+        groups = [
+            tuple(int(column[slot]) for slot in range(len(arrays)) if key >> slot & 1)
+            for key in keys.tolist()
+        ]
+        sizes = [n * combos.count(columns) for n, columns in zip(counts, groups)]
+        budget = max(combos.batch, _CHUNK_ELEMENTS)
+        taken = []
+        for g in sorted(range(len(groups)), key=sizes.__getitem__):
+            if counts[g] * combos.batch - sizes[g] < _SHARED_ROW_SAVING:
+                continue
+            if sizes[g] > budget:
+                break
+            budget -= sizes[g]
+            taken.append(g)
+        if not taken:
+            return None
+        tables, grouped = [], []
+        for g in taken:
+            rows, columns = np.flatnonzero(group_of_row == g), groups[g]
+            block = self._rows(rows)
+            first, code = combos.find(columns)
+            if columns:
+                table = np.empty((len(rows), len(first)))
+                at_first = (v[first] if v.ndim else v for v in scalars)
+                self._row_terms(block, templates[first], *at_first, table)
+            else:
+                table = block.zero_fill
+            tables.append((table, code))
+            grouped.append(rows)
+        # the rest, then each group's rows: the row of each (position, set)
+        rest = np.ones(len(self.row_positions), dtype=bool)
+        rest[np.concatenate(grouped)] = False
+        order = np.concatenate([np.flatnonzero(rest), *grouped])
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return _SharedRows(self._rows(np.flatnonzero(rest)), tables, rank[self._row_index])
 
     def set_log10_likelihoods(
         self,
@@ -521,6 +775,7 @@ class LocusEvaluator:
         slope: np.ndarray,
         bw: np.ndarray,
         fw: np.ndarray,
+        shared: Optional[_SharedRows] = None,
     ) -> np.ndarray:
         """(batch, live sets) log10 per-set locus likelihoods: the transposed
         view of a (live sets, batch) array. That array is the first position
@@ -532,61 +787,29 @@ class LocusEvaluator:
         (batch,) arrays or numbers. Terms of a feature the model config
         disables are not used. Each set's position terms are added one
         position at a time in position order, so a value does not depend
-        on the batch size.
+        on the batch size. `shared` is `MixtureEvaluator.marginal_log10`'s
+        on a mesh: the row groups it scored once per cell combination over
+        the whole call, with the code of each of this batch's points.
         """
         templates = np.atleast_2d(np.asarray(templates, dtype=float))
         c2, slope, bw, fw = (np.asarray(v, dtype=float) for v in (c2, slope, bw, fw))
-
-        # (linear terms, batch), summed in contributor order: a sum of three
-        # or more templates rounds by its order, and a BLAS matrix product
-        # changes that order with the batch size
-        columns = np.ascontiguousarray(templates.T)
-        copies = self._row_copies
-        lin = copies[0] * columns[0]
-        for c in range(1, self.n_contrib):
-            lin += copies[c] * columns[c]
-
-        # (rows, batch) expectations; a row whose stutter source is not a
-        # position adds prop * 0, which leaves it unchanged
-        n_rows = len(self.row_positions)
-        e = lin[:n_rows]
-        props = [prop for prop, on in zip((bw, fw), self._stutter) if on]
-        for j, prop in enumerate(props, 1):
-            e += prop * lin[j * n_rows : (j + 1) * n_rows]
-        if self._size_exponent is not None:
-            e *= np.power(slope, self._size_exponent).take(self.row_positions, axis=0)
-
-        # (rows, batch) log10 terms: the peak density on the observed rows,
-        # the dropout mass on the others
-        n_obs_rows = self._n_obs_rows
-        term = np.empty_like(e)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(e, out=term)
-            # normal log-density of x = log10(O/E) with variance c2/E:
-            # -x^2 E / (2 c2) - ln(2 pi c2) / 2 + ln(E) / 2, in natural logs
-            eo, obs = e[:n_obs_rows], term[:n_obs_rows]
-            sq = self._ln_obs - obs
-            sq *= sq
-            sq *= eo
-            sq /= c2 * (LN10 * LN10)
-            obs -= np.log(2 * math.pi * c2)
-            obs -= sq
-            obs /= 2 * LN10
-            # dropout mass below the threshold at unobserved positions
-            eu, z = e[n_obs_rows:], term[n_obs_rows:]
-            np.subtract(self._ln_threshold, z, out=z)
-            z *= np.sqrt(eu)
-            z /= LN10 * np.sqrt(c2)
-            log_ndtr(z, out=z)
-            z /= LN10
-        # a row with zero expectation: an observed peak there excludes its
-        # set, and an unobserved position adds nothing
-        np.copyto(term, self._zero_fill, where=e == 0)
+        term = np.empty((len(self.row_positions), len(templates)))
+        if shared is None:
+            self._row_terms(self._all_rows, templates, c2, slope, bw, fw, term)
+            row_index = self._row_index
+        else:
+            rest, tables, row_index = shared
+            lo = len(rest.positions)
+            if lo:
+                self._row_terms(rest, templates, c2, slope, bw, fw, term[:lo])
+            for table, code in tables:
+                np.take(table, code, axis=1, out=term[lo : lo + len(table)], mode="clip")
+                lo += len(table)
 
         # gathered to (positions, live sets, batch) and summed one position at
         # a time: numpy's sum would take a (positions, 1, 1) block, one set
         # at batch 1, pairwise
-        gathered = term.take(self._row_index, axis=0)
+        gathered = term.take(row_index, axis=0)
         total = gathered[0]
         for terms in gathered[1:]:
             total += terms
@@ -622,6 +845,7 @@ class MixtureEvaluator:
         slope=1.0,
         bw=0.0,
         fw=0.0,
+        cells: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """(batch,) log10 marginal likelihood for a batch of parameter vectors.
 
@@ -629,24 +853,55 @@ class MixtureEvaluator:
         number, which holds for every row, or a (batch,) array. The batch
         is evaluated in chunks of rows whose temporaries stay within
         _CHUNK_ELEMENTS elements; a chunk takes its slice of each array.
+
+        cells, when given, is a (batch, k) integer array with a column for
+        each template and then for each of c2, slope, bw and fw that is an
+        array, in that order; points with the same cell in a column must
+        have the same finite value there. A mesh's cell indices are such
+        cells. A row group whose term reads few cell combinations for the
+        batch is then scored once per combination (see `LocusEvaluator`),
+        with the same bits as scoring every point.
         """
         templates = np.atleast_2d(np.asarray(templates, dtype=float))
         batch = templates.shape[0]
+        if templates.ndim != 2 or (self.evaluators and templates.shape[1] != self.n_contrib):
+            raise ValueError(
+                f"templates must be (batch, {self.n_contrib}), got shape {templates.shape}"
+            )
+        scalars = [np.asarray(v) for v in (c2, slope, bw, fw)]
+        for name, v in zip(("c2", "slope", "bw", "fw"), scalars):
+            if v.ndim and v.shape != (batch,):
+                raise ValueError(
+                    f"{name} must be a number or a ({batch},) array, got shape {v.shape}"
+                )
+        if cells is not None:
+            cells = np.asarray(cells)
+            want = (batch, templates.shape[1] + sum(v.ndim for v in scalars))
+            if cells.dtype.kind not in "iu" or cells.shape != want:
+                raise ValueError(
+                    f"cells must be an integer array of shape {want}, got "
+                    f"{cells.dtype} of shape {cells.shape}"
+                )
         if self.excluded:
             return np.full(batch, NEG_INF)
-        scalars = [np.asarray(v) for v in (c2, slope, bw, fw)]
         rows = max(1, _CHUNK_ELEMENTS // max(self._width, 1))
+        combos = None
+        if cells is not None and batch > 1:
+            combos = _CellCombinations(cells)
+            scalars = [np.asarray(v, dtype=float) for v in scalars]
         total = np.zeros(batch)
-        for lo in range(0, batch, rows):
-            part = slice(lo, lo + rows)
-            args = [v[part] if v.ndim else v for v in scalars]
-            for ev in self.evaluators:
-                per_set = ev.set_log10_likelihoods(templates[part], *args).T
+        for ev in self.evaluators:
+            shared = None if combos is None else ev._shared_rows(templates, scalars, combos)
+            for lo in range(0, batch, rows):
+                part = slice(lo, lo + rows)
+                args = [v[part] if v.ndim else v for v in scalars]
+                chunk = None if shared is None else shared.at(part)
+                per_set = ev.set_log10_likelihoods(templates[part], *args, shared=chunk).T
                 per_set += ev.log10_priors[:, None]
                 total[part] += _log10sumexp_sets(per_set)
-                # per_set holds the locus's whole gather: freed before the
-                # next locus or chunk allocates its own, the gather reuses
-                # its pages instead of faulting in fresh ones
+                # per_set holds the chunk's whole gather: freed before the
+                # next chunk allocates its own, the gather reuses its pages
+                # instead of faulting in fresh ones
                 del per_set
         return total
 

@@ -27,7 +27,7 @@ class _ConstantEvaluator:
 
     n_contrib = 1
 
-    def marginal_log10(self, templates, c2, slope=1.0, bw=0.0, fw=0.0):
+    def marginal_log10(self, templates, c2, slope=1.0, bw=0.0, fw=0.0, cells=None):
         return np.zeros(np.atleast_2d(templates).shape[0])
 
 
@@ -124,9 +124,9 @@ class _CountingEvaluator:
         self.ev = ev
         self.batches = []
 
-    def marginal_log10(self, templates, *args):
+    def marginal_log10(self, templates, *args, **kwargs):
         self.batches.append(len(templates))
-        return self.ev.marginal_log10(templates, *args)
+        return self.ev.marginal_log10(templates, *args, **kwargs)
 
 
 class TestOrbitMesh:
@@ -140,9 +140,10 @@ class TestOrbitMesh:
         ],
     )
     def test_weights_are_orbit_sizes(self, n, ndim, exchangeable):
-        points, weights = _midpoint_mesh(n, ndim, exchangeable)
+        points, mesh_cells, weights = _midpoint_mesh(n, ndim, exchangeable)
         cells = np.rint(points * n - 0.5).astype(int)
         np.testing.assert_array_equal((cells + 0.5) / n, points)
+        np.testing.assert_array_equal(mesh_cells, cells)
         # brute force: key every cell of the full mesh by its sorted
         # exchangeable indices and count the cells per key
         ex = list(exchangeable)
@@ -157,13 +158,20 @@ class TestOrbitMesh:
         assert weights.sum() == n**ndim
 
     def test_without_an_orbit_is_the_full_mesh(self):
-        full, ones = _midpoint_mesh(3, 3)
+        full, _, ones = _midpoint_mesh(3, 3)
         cells = np.array(list(itertools.product(range(3), repeat=3)))
         np.testing.assert_array_equal(full, (cells + 0.5) / 3)
         assert (ones == 1.0).all()
-        points, weights = _midpoint_mesh(3, 3, (1,))
+        points, _, weights = _midpoint_mesh(3, 3, (1,))
         np.testing.assert_array_equal(points, full)
         np.testing.assert_array_equal(weights, ones)
+
+    def test_built_once_and_read_only(self):
+        mesh = _midpoint_mesh(4, 3, (0, 1))
+        assert all(a is b for a, b in zip(_midpoint_mesh(4, 3, (0, 1)), mesh))
+        for array in mesh:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     @pytest.mark.parametrize(
         "proposition, config, prior, n",
@@ -182,7 +190,7 @@ class TestOrbitMesh:
     def test_equals_the_full_mesh_mean(self, policy, proposition, config, prior, n):
         ev = build_evaluator(MIX_PROFILE, proposition, MIX_TABLE, policy, config)
         space = ParamSpace(proposition.noc, config, prior)
-        full, _ = _midpoint_mesh(n, space.ndim)
+        full, _, _ = _midpoint_mesh(n, space.ndim)
         lls = ev.marginal_log10(*space.from_cube(full))
         m = float(np.max(lls))
         want = 10.0**m * float(np.mean(10.0 ** (lls - m)))
@@ -202,6 +210,35 @@ class TestOrbitMesh:
         )
         assert res.levels == 3
         assert ev.batches == [n * (n + 1) // 2 for n in (4, 8, 16)]
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            (dict(resolution=0), ValueError),
+            (dict(resolution=-3), ValueError),
+            (dict(resolution=2.5), TypeError),
+            (dict(max_levels=0), ValueError),
+            (dict(rtol=-1e-3), ValueError),
+            (dict(rtol=float("nan")), ValueError),
+            (dict(rtol=float("inf")), ValueError),
+        ],
+        ids=["resolution-0", "resolution-negative", "resolution-float", "max-levels-0",
+             "rtol-negative", "rtol-nan", "rtol-inf"],
+    )
+    def test_quadrature_rejects(self, toy_profile, toy_table, policy, toy_hd, kwargs, error):
+        (name,) = kwargs
+        with pytest.raises(error, match=name):
+            marginal_quadrature(toy_profile, toy_hd, toy_table, policy, prior=PINNED, **kwargs)
+
+    def test_monte_carlo_rejects_a_fractional_sample_count(
+        self, toy_profile, toy_table, policy, toy_hd
+    ):
+        with pytest.raises(TypeError, match="n_samples"):
+            marginal_monte_carlo(
+                toy_profile, toy_hd, toy_table, policy, prior=PINNED, n_samples=1000.5
+            )
 
 
 class TestMonteCarlo:

@@ -27,12 +27,15 @@ from mixlr.likelihood import (
     peak_density,
     set_log_likelihood,
 )
+from mixlr.integrate import _midpoint_mesh
 from mixlr.model import (
     HP,
     Genotype,
     GenotypeSet,
     MassParams,
     ModelConfig,
+    ParamBox,
+    ParamSpace,
     Peak,
     Profile,
     Proposition,
@@ -551,6 +554,122 @@ class TestDistinctRows:
         per_position = np.bincount(lev.row_positions, minlength=n_pos)
         assert per_position.max() <= 3**3
         assert len(lev.row_positions) * 10 < len(lev.live_sets) * n_pos
+
+
+class TestMeshCells:
+    """With a mesh's cells, the kernel scores a row group once per cell
+    combination its term reads; every value must keep its bits."""
+
+    ALLELES = ("10", "11", "12", "13")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_decoded_points(self, data):
+        noc = data.draw(st.integers(1, 3), label="noc")
+        config = ModelConfig(
+            back_stutter=data.draw(st.booleans(), label="back"),
+            forward_stutter=data.draw(st.booleans(), label="forward"),
+            degradation=data.draw(st.booleans(), label="degradation"),
+        )
+        loci = {}
+        for i in range(data.draw(st.integers(1, 2), label="loci")):
+            seen = data.draw(
+                st.lists(st.sampled_from(self.ALLELES), min_size=1, max_size=3, unique=True)
+            )
+            loci[f"L{i}"] = [
+                Peak(a, data.draw(st.floats(60.0, 3000.0)), size=100.0 + 4 * int(a))
+                for a in seen
+            ]
+        profile = Profile(loci, 50.0)
+        table = FrequencyTable(
+            {locus: {a: 0.2 for a in self.ALLELES} for locus in loci}, n_individuals=500
+        )
+        fixed = {}
+        if noc > 1 and data.draw(st.booleans(), label="fixed"):
+            pool = st.sampled_from(self.ALLELES)
+            fixed = {0: {locus: Genotype(data.draw(pool), data.draw(pool)) for locus in loci}}
+        prop = Proposition(noc=noc, fixed_contributors=fixed)
+        sets = enumerate_sets(profile, prop, table, RareAllelePolicy.five_over_2n(), config)
+        ev = MixtureEvaluator(profile, sets, config)
+
+        c2 = data.draw(st.sampled_from([None, 12.0]), label="c2")
+        space = ParamSpace(noc, config, ParamBox(template_hi=3000.0, c2=c2))
+        # at most about 2000 points
+        n = data.draw(st.integers(2, max(2, int(2000 ** (1 / space.ndim)))), label="n")
+        folded = data.draw(st.booleans(), label="folded")
+        points, cells, _ = _midpoint_mesh(n, space.ndim, prop.unknown_indices if folded else ())
+        args = space.from_cube(points)
+        # chunks of one point up to the whole mesh; a small chunk also
+        # shrinks the budget for the tables scored per combination. Every
+        # group that saves a row term is scored apart, as on a large mesh.
+        rows = data.draw(st.integers(1, len(points)), label="chunk")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(likelihood, "_CHUNK_ELEMENTS", rows * ev._width)
+            mp.setattr(likelihood, "_SHARED_ROW_SAVING", 1)
+            want = ev.marginal_log10(*args)
+            got = ev.marginal_log10(*args, cells=cells)
+        assert got.tobytes() == want.tobytes()
+
+    def test_int_2p_rows_read_one_template(self, policy):
+        # the int_2p Hd shape with c2 pinned: on a level of 128 points per
+        # axis, the rows reading one template are scored once per template
+        # value and the rows reading none once; a level of 16 saves too few
+        # row terms to score any group apart
+        peaks = [Peak("10", 900.0), Peak("11", 650.0), Peak("12", 420.0)]
+        profile = Profile({"L0": peaks}, 50.0)
+        table = FrequencyTable({"L0": {"10": 0.45, "11": 0.30, "12": 0.25}}, n_individuals=500)
+        ev = likelihood.build_evaluator(profile, Proposition(noc=2), table, policy)
+        lev = ev.evaluators[0]
+        space = ParamSpace(2, ModelConfig(), ParamBox(c2=12.0))
+        shared = {}
+        for n in (16, 128):
+            points, cells, _ = _midpoint_mesh(n, 2, (0, 1))
+            templates, *scalars = space.from_cube(points)
+            arrays = [np.asarray(v, dtype=float) for v in scalars]
+            shared[n] = lev._shared_rows(templates, arrays, likelihood._CellCombinations(cells))
+        assert shared[16] is None
+        widths = sorted(table.shape[1] for table, _ in shared[128].tables)
+        assert widths == [1, 128, 128]
+        grouped = sum(len(table) for table, _ in shared[128].tables)
+        assert len(shared[128].rest.positions) + grouped == len(lev.row_positions)
+
+
+class TestMalformedKernelInput:
+    """marginal_log10 names the argument that does not fit the evaluator."""
+
+    @pytest.fixture
+    def ev(self, policy):
+        profile = Profile({"L": [Peak("10", 900.0), Peak("11", 400.0)]}, 50.0)
+        table = FrequencyTable({"L": {"10": 0.5, "11": 0.4}}, n_individuals=500)
+        return likelihood.build_evaluator(profile, Proposition(noc=2), table, policy)
+
+    @pytest.mark.parametrize("templates", [[[500.0, 700.0, 900.0]], [[500.0]]])
+    def test_templates_of_another_width(self, ev, templates):
+        with pytest.raises(ValueError, match="templates"):
+            ev.marginal_log10(np.array(templates), 12.0)
+
+    @pytest.mark.parametrize("name", ["c2", "slope", "bw", "fw"])
+    def test_scalar_of_another_length(self, ev, name):
+        args = dict(c2=12.0, slope=1.0, bw=0.0, fw=0.0)
+        args[name] = np.full(2, args[name])
+        with pytest.raises(ValueError, match=name):
+            ev.marginal_log10(np.full((3, 2), 500.0), **args)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [np.zeros((3, 3), dtype=int), np.zeros((2, 2), dtype=int), np.zeros((3, 2))],
+        ids=["extra-column", "short", "float"],
+    )
+    def test_cells_that_do_not_fit(self, ev, cells):
+        with pytest.raises(ValueError, match="cells"):
+            ev.marginal_log10(np.full((3, 2), 500.0), 12.0, cells=cells)
+
+    def test_cells_with_an_array_scalar(self, ev):
+        # a (batch,) c2 takes a column of its own
+        templates = np.full((3, 2), 500.0)
+        cells = np.zeros((3, 3), dtype=int)
+        got = ev.marginal_log10(templates, np.full(3, 12.0), cells=cells)
+        assert got.tobytes() == ev.marginal_log10(templates, 12.0).tobytes()
 
 
 def test_build_makes_no_per_set_objects(policy, monkeypatch):

@@ -14,6 +14,10 @@ diff the two outputs to compare them. The families:
   `study_3p` pool at benchmark seed 1, each a `run_study` call;
 - `int_2p`: the Hp and Hd `marginal_quadrature` results of the first 40
   `int_2p` rounds at benchmark seed 1;
+- `quadrature`: Hp and Hd `marginal_quadrature` results, two levels from
+  the default resolution, on the first 10 criterion-3 profiles under two
+  model configs the benchmark does not reach: free c2 with back stutter,
+  and free c2 with degradation, each peak given a fragment size;
 - `criterion_3`: the 100 `fit_both` reports of acceptance criterion 3;
 - `criterion_4`: the 100 pairs of nested fits of acceptance criterion 4;
 - `criteria_5_6`: the records of the two studies of criteria 5 and 6.
@@ -35,7 +39,8 @@ sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
 import test_acceptance as acceptance  # noqa: E402
 import workloads  # noqa: E402
 from mixlr.mle import SearchSpec, fit_both, maximize  # noqa: E402
-from mixlr.model import MassParams, Proposition  # noqa: E402
+from mixlr.integrate import PriorSpec, marginal_quadrature  # noqa: E402
+from mixlr.model import MassParams, ModelConfig, Peak, Profile, Proposition  # noqa: E402
 from mixlr.study import run_study  # noqa: E402
 
 BENCH_SEED = 1
@@ -72,6 +77,30 @@ def int_2p():
         yield res_d
 
 
+def quadrature():
+    table, policy, cases = acceptance._synthetic_cases(10, seed=31)
+    prior = PriorSpec(template_hi=3000.0)
+    configs = (ModelConfig(back_stutter=True), ModelConfig(degradation=True))
+    for prof, donors in cases:
+        # fragment sizes 20 bp apart per repeat and 150 bp apart per locus
+        sized = Profile(
+            {
+                locus: [
+                    Peak(p.allele, p.height, size=100.0 + 150.0 * i + 20.0 * int(p.allele))
+                    for p in prof.peaks(locus)
+                ]
+                for i, locus in enumerate(prof.loci)
+            },
+            prof.analytical_threshold,
+        )
+        hp = Proposition(noc=2, fixed_contributors={0: donors[0]}, label="Hp")
+        for config in configs:
+            for prop in (hp, Proposition(noc=2, label="Hd")):
+                yield marginal_quadrature(
+                    sized, prop, table, policy, config, prior, max_levels=2
+                )
+
+
 def criterion_3():
     table, policy, cases = acceptance._synthetic_cases(100, seed=31)
     for i, (prof, donors) in enumerate(cases):
@@ -100,7 +129,7 @@ def criteria_5_6():
         yield from run_study(cfg, seed=seed)
 
 
-FAMILIES = (study_3p, int_2p, criterion_3, criterion_4, criteria_5_6)
+FAMILIES = (study_3p, int_2p, quadrature, criterion_3, criterion_4, criteria_5_6)
 
 
 def digest(outputs) -> str:
