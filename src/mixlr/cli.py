@@ -37,6 +37,8 @@ class GoldenFailure(Exception):
 
 
 def _parse_policy(text: str) -> RareAllelePolicy:
+    if not isinstance(text, str):
+        raise ValueError(f"policy must be a string, got {text!r}")
     t = text.lower()
     if t == "5over2n":
         return RareAllelePolicy.five_over_2n()
@@ -82,6 +84,8 @@ def _load_proposition(path: str, default_label: str) -> Proposition:
         spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ValueError(f"proposition {path} must be a JSON object")
+    if "noc" not in spec:
+        raise ValueError(f"proposition {path} has no 'noc' key")
     noc = spec["noc"]
     if not isinstance(noc, int) or isinstance(noc, bool):
         raise ValueError(f"proposition noc must be a JSON integer, got {noc!r}")
@@ -186,11 +190,21 @@ def _cmd_lr(args) -> int:
 def _cmd_study(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"study config {args.config} must be a JSON object")
+    if not isinstance(raw.get("freq"), str):
+        raise ValueError(
+            f"study config {args.config} needs a 'freq' key naming the frequency "
+            f"table, got {raw.get('freq')!r}"
+        )
+    # the stamp covers every key the run reads; a "seed" key is ignored
+    # (--seed sets the seed), so it is left out
+    raw.pop("seed", None)
+    stamped = dict(raw)
     table = mio.read_frequency_table(
         os.path.join(os.path.dirname(args.config), raw.pop("freq"))
     )
     policy = _parse_policy(raw.pop("policy", "5over2n"))
-    raw.pop("seed", None)
     nested = {
         key: _from_json(cls, raw[key], f"study {key}")
         for key, cls in (("config", ModelConfig), ("prior", PriorSpec))
@@ -210,7 +224,7 @@ def _cmd_study(args) -> int:
         )
         print(f"{k}: n={g['n']} frac_lr>1={g['fraction_lr_gt_1']:.3f}{fits}")
     os.makedirs(args.out, exist_ok=True)
-    summary["metadata"] = mio.output_metadata(seed=args.seed, config=raw)
+    summary["metadata"] = mio.output_metadata(seed=args.seed, config=stamped)
     mio.write_records_csv(
         os.path.join(args.out, "records.csv"), records, summary["metadata"]
     )

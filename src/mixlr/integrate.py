@@ -134,27 +134,45 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
-def _mean_of_log10(
-    lls: np.ndarray, weights: Optional[np.ndarray] = None
-) -> tuple[float, float, float]:
-    """(mean, log10 mean, standard error of the mean) of 10**lls, each term
-    counted `weights` times (once by default), stabilised against underflow.
-    The mean and its error are inf where they pass the float range; the
-    log10 mean stays finite."""
+def _relative_terms(lls: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+    """(m, 10**(lls - m)) for the largest of lls, m; (-inf, None) where
+    every term is -inf.
+
+    np.power slows down about tenfold where its result underflows. Raising
+    a term to 1e-300 of the largest, which is 1, moves their mean by less
+    than 1e-300, far below the mean's own rounding error (it is >= 1/n).
+    """
     m = float(np.max(lls))
     if m == NEG_INF:
-        return 0.0, NEG_INF, 0.0
-    # np.power slows down about tenfold where its result underflows. Raising
-    # a term to 1e-300 of the largest, which is 1, moves the mean by less
-    # than 1e-300, far below the mean's own rounding error (it is >= 1/n)
-    scaled = np.power(10.0, np.maximum(lls - m, -300.0))
-    w = np.ones(len(scaled)) if weights is None else weights
-    count = float(np.sum(w))
-    mean = float(np.sum(w * scaled)) / count
-    var = float(np.sum(w * (scaled - mean) ** 2)) / (count - 1) if count > 1 else 0.0
+        return m, None
+    return m, np.power(10.0, np.maximum(lls - m, -300.0))
+
+
+def _mean_of_log10(
+    lls: np.ndarray, weights: Optional[np.ndarray] = None
+) -> tuple[float, float]:
+    """(mean, log10 mean) of 10**lls, each term counted `weights` times
+    (once by default), stabilised against underflow. The mean is inf where
+    it passes the float range; the log10 mean stays finite."""
+    m, scaled = _relative_terms(lls)
+    if scaled is None:
+        return 0.0, NEG_INF
+    count = float(len(scaled) if weights is None else np.sum(weights))
+    mean = float(np.sum(scaled if weights is None else weights * scaled)) / count
+    return lr_from_log10(m) * mean, m + math.log10(mean)
+
+
+def _std_error_of_mean(lls: np.ndarray) -> float:
+    """The standard error of the mean of 10**lls, each term counted once;
+    inf where it passes the float range."""
+    m, scaled = _relative_terms(lls)
+    if scaled is None:
+        return 0.0
+    count = len(scaled)
+    mean = float(np.sum(scaled)) / count
+    var = float(np.sum((scaled - mean) ** 2)) / (count - 1) if count > 1 else 0.0
     se = math.sqrt(var) / math.sqrt(count)
-    scale = lr_from_log10(m)
-    return scale * mean, m + math.log10(mean), scale * se if se > 0 else 0.0
+    return lr_from_log10(m) * se if se > 0 else 0.0
 
 
 def marginal_quadrature(
@@ -209,7 +227,7 @@ def marginal_quadrature(
         level += 1
         points, cells, weights = _midpoint_mesh(n, space.ndim, unknown)
         lls = ev.marginal_log10(*space.from_cube(points), cells=cells)
-        value, log10_value, _ = _mean_of_log10(lls, weights)
+        value, log10_value = _mean_of_log10(lls, weights)
         if prev is not None and (math.isinf(value) or math.isinf(prev[0])):
             # beyond the float range inf - inf is nan: the same relative
             # change, |1 - prev / value|, from the log10 marginals
@@ -251,7 +269,8 @@ def marginal_monte_carlo(
     space = ParamSpace(proposition.noc, config, prior)
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(n_samples, space.ndim))
-    value, log10_value, se = _mean_of_log10(ev.marginal_log10(*space.from_cube(u)))
+    lls = ev.marginal_log10(*space.from_cube(u))
+    value, log10_value = _mean_of_log10(lls)
     return IntegralResult(
         hypothesis=proposition.label,
         marginal=value,
@@ -259,7 +278,7 @@ def marginal_monte_carlo(
         estimator=MONTE_CARLO,
         resolution=n_samples,
         converged=True,
-        std_error=se,
+        std_error=_std_error_of_mean(lls),
     )
 
 

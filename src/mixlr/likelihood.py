@@ -37,7 +37,11 @@ Rows that read the same columns form a group, and a group whose columns
 have few enough combinations for the call's points is scored once per
 combination, at one point of each, over the whole call; each point then
 takes its group's term by its combination. The other rows are scored per
-point, chunk by chunk, as without cells. The bits hold because the term of
+point, as without cells. Which rows form which group depends only on which
+of c2, the slope and the stutter proportions are arrays, so each evaluator
+works its groups and its gather order out once per such pattern and keeps
+them; a call only counts the codes, picks the groups that pay and scores
+their tables. The bits hold because the term of
 a row at a point is the same sequence of operations on the same values:
 a template the row does not read enters its expectation as 0 * t, which is
 exactly 0 for a finite t, a stutter term it does not read as prop * 0, and a slope it
@@ -45,13 +49,21 @@ does not read as slope**0 = 1, so the representative's other values cannot
 reach the result; and the cube decodes each axis elementwise, so equal
 cells give equal values.
 
+The rows scored per point are scored for several chunks of points in one
+pass, as long as the pass's temporaries stay small, so the fixed cost of
+its numpy calls is paid once per block of chunks; each chunk then gathers
+its own slice of the terms. An element's term does not depend on which
+pass computes it.
+
 The per-set sums stay a (sets, batch) block, so the steps over the batch
 run along its long contiguous axis; the locus evaluator returns the block
 as its (batch, sets) transposed view. The marginal adds the log priors in
 place and reduces over sets: the max, exact in any order, along the longer
-axis of the block, and the sum of exponentials over a (batch, sets)-
-contiguous copy, so each point's sets are summed in numpy's order for one
-row. Neither sum depends on the batch size or on chunking.
+axis of the block, and the sum of exponentials so that each point's sets
+are summed in numpy's order for one row of them. A block with no fewer
+points than sets is summed along its batch axis, one row operation per
+step of that order; a narrower one over a (batch, sets)-contiguous copy,
+by numpy itself. Neither sum depends on the batch size or on chunking.
 
 The density is the normal law of log10(O/E) with mean 0 and variance
 c2/E, taken in log-ratio space (no Jacobian back to height space); allelic
@@ -266,6 +278,42 @@ def log10sumexp(values: np.ndarray) -> float:
     return float(m + np.log10(np.sum(np.exp(d))))
 
 
+def _pairwise_sum_rows(rows: np.ndarray) -> np.ndarray:
+    """(batch,) the sum over the first axis of a (n, batch) block, which it
+    may overwrite, each column summed in the order numpy's pairwise sum
+    takes one contiguous row of n values.
+
+    That order is: below 8 values, one after another; up to 128, eight
+    accumulators over the values strided by 8, combined as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the tail one after
+    another; above 128, the two halves split at a multiple of 8, each summed
+    so. Every step here is one row operation over the whole batch.
+    """
+    n = len(rows)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        total = _pairwise_sum_rows(rows[:half])
+        total += _pairwise_sum_rows(rows[half:])
+        return total
+    if n < 8:
+        total = rows[0]
+        for row in rows[1:]:
+            total += row
+        return total
+    whole = n - n % 8
+    acc = rows[:8]
+    for i in range(8, whole, 8):
+        acc += rows[i : i + 8]
+    acc[0::2] += acc[1::2]
+    acc[0::4] += acc[2::4]
+    total = acc[0]
+    total += acc[4]
+    for row in rows[whole:]:
+        total += row
+    return total
+
+
 def _log10sumexp_sets(values: np.ndarray) -> np.ndarray:
     """(batch,) log10 of the sum over sets of 10**values, for (sets, batch)
     values, which it may overwrite.
@@ -273,9 +321,11 @@ def _log10sumexp_sets(values: np.ndarray) -> np.ndarray:
     A point whose sets are all -inf is -inf, and a NaN among a point's sets
     makes it NaN: only -inf is an exclusion. The max over sets is exact in
     any order, so it and the element-wise steps run along the longer axis
-    of the block. The sum runs over a (batch, sets)-contiguous array, so
-    each point's sets are summed in numpy's order for one row whatever the
-    batch size.
+    of the block. Each point's sets are summed in numpy's order for one
+    row, whatever the batch size: a wide block (no fewer points than sets)
+    is summed along its batch axis in that order (`_pairwise_sum_rows`),
+    with no copy; a narrow one, whose short rows would make many small
+    steps, by numpy's own row sum over a (batch, sets)-contiguous copy.
     """
     wide = values.shape[1] >= values.shape[0]
     if not wide:
@@ -287,8 +337,8 @@ def _log10sumexp_sets(values: np.ndarray) -> np.ndarray:
     values *= LN10
     np.maximum(values, _MIN_LN, out=values)
     np.exp(values, out=values)
-    rows = np.ascontiguousarray(values.T) if wide else values
-    out = m.reshape(-1) + np.log10(rows.sum(axis=1))
+    sums = _pairwise_sum_rows(values) if wide else values.sum(axis=1)
+    out = m.reshape(-1) + np.log10(sums)
     out[excluded.reshape(-1)] = NEG_INF
     return out
 
@@ -369,17 +419,26 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # on that Hd and 0.97-1.00 on the int_2p shapes, and 2**18 took 2.0 on the
 # int_2p Hp. No larger chunk gains on both workloads, so 2**16 stays. 2**13
 # and 2**14 were 55-70% and 13-23% slower per point than 2**15 on the int_2p
-# shapes.
+# shapes. Those timings scored the per-point rows chunk by chunk; they are
+# now scored for a block of chunks at a time (_BLOCK_ELEMENTS), which takes
+# part of the per-call cost that made small chunks slow off each chunk.
 _CHUNK_ELEMENTS = 1 << 16
 
 # Row terms a row group must save, against scoring it at every point, to be
 # scored once per cell combination instead: scoring a group costs one more
 # pass of about 25 numpy calls (about 35 us on a 2-core Xeon), while a row
 # term costs 10-40 ns, and each chunk then takes the group's terms with one
-# more call. Below about 4096 saved terms, as on int_2p's levels of 16 and
-# 32 points per axis or a study's 336-point grid, a group costs more than
-# it saves.
+# more call. Which rows form the groups is worked out once per evaluator,
+# so only those passes and takes count against the saving. Below about
+# 4096 saved terms, as on int_2p's levels of 16 and 32 points per axis or a
+# study's 336-point grid, a group costs more than it saves.
 _SHARED_ROW_SAVING = 4096
+
+# Elements in the largest temporary of one pass over the rows scored per
+# point, when the pass covers several chunks: 2**14 float64 values, 128 KiB,
+# under glibc's default mmap threshold, so the pass's temporaries come from
+# the heap rather than from fresh pages.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class _Rows(NamedTuple):
@@ -393,21 +452,17 @@ class _Rows(NamedTuple):
     zero_fill: np.ndarray  # (rows, 1) each row's term where its expectation is 0
 
 
-class _SharedRows(NamedTuple):
-    """One call's row groups scored once per combination of their cells.
+class _CallRows(NamedTuple):
+    """How one call scores a locus's rows.
 
-    `rest` are the rows scored per point; `tables` holds each other group's
-    (rows, codes) terms with the code of every point; `row_index` is the row
-    of each (position, live set) in the order [rest, then each group's
-    rows]."""
+    `rest` are the rows scored per point; `tables` holds each group scored
+    once per combination of its cells, as its (rows, codes) terms with the
+    code of every point of the call; `row_index` is the row of each
+    (position, live set) in the order [rest, then each table's rows]."""
 
     rest: _Rows
     tables: list
     row_index: np.ndarray
-
-    def at(self, part: slice) -> "_SharedRows":
-        """The same rows for the points of one chunk."""
-        return self._replace(tables=[(table, code[part]) for table, code in self.tables])
 
 
 class _CellCombinations:
@@ -483,13 +538,22 @@ class LocusEvaluator:
     product of their cell spans) over the whole call where that saves at
     least _SHARED_ROW_SAVING row terms against scoring it at every point,
     smallest table first within a budget of max(points, _CHUNK_ELEMENTS)
-    elements per locus; a group that reads no column is its zero fill. Each
-    chunk then scores the remaining rows per point and takes each grouped
-    row's term by its points' codes into the same (rows, batch) table, in a
-    row order the call's gather index follows. With c2 pinned, an int_2p
-    locus's rows that read one template take n values on a level of n**2 or
-    n(n+1)/2 points. One routine, `_row_terms`, scores rows on both paths,
-    so the density and dropout math are written once.
+    elements per locus; a group that reads no column is its zero fill. The
+    groups, their row blocks and the gather order are kept on the evaluator
+    per pattern of array-valued scalars (`_groups`, `_order`), so a call
+    only counts codes, picks groups and scores their tables. Each chunk
+    then takes the remaining rows' per-point terms and each grouped row's
+    term by its points' codes into one (rows, batch) table, in a row order
+    the call's gather index follows. With c2 pinned, an int_2p locus's rows
+    that read one template take n values on a level of n**2 or n(n+1)/2
+    points. One routine, `_row_terms`, scores rows on both paths, so the
+    density and dropout math are written once.
+
+    With or without cells, the rows scored per point are scored in one
+    pass for a block of several chunks where the pass's largest temporary
+    stays within _BLOCK_ELEMENTS elements, and in one pass per chunk where
+    it would not (`_add_log10_marginals`). `set_log10_likelihoods` is still
+    called once per chunk, with that chunk's points and terms.
 
     `copies` (live sets, contributors, positions) and `log10_priors` hold
     the live sets only; `live_sets` maps them back to their index in the
@@ -624,9 +688,13 @@ class LocusEvaluator:
             self._ln_obs,
             self._zero_fill,
         )
-        # each row's read slots as bits (see _read_keys), on the first call
-        # with cells
-        self._keys: Optional[np.ndarray] = None
+        self._every_row = _CallRows(self._all_rows, [], self._row_index)
+        # the mesh plan, made on the calls with cells that first need each
+        # part: the row groups per pattern of array-valued scalars (see
+        # _groups), and the per-point rows and gather index per choice of
+        # groups scored apart (see _order)
+        self._plan_groups: dict = {}
+        self._plan_orders: dict = {}
 
     def _read_keys(self) -> np.ndarray:
         """(rows,) the parameter slots each row's term reads, as bits: bit c
@@ -707,66 +775,140 @@ class LocusEvaluator:
         # set, and an unobserved position adds nothing
         np.copyto(term, zero_fill, where=e == 0)
 
-    def _shared_rows(
-        self, templates: np.ndarray, scalars: Sequence[np.ndarray], combos: _CellCombinations
-    ) -> Optional[_SharedRows]:
-        """The row groups of one call scored once per combination of their
-        cells, or None where no group pays.
+    def _groups(self, arrays: tuple) -> list:
+        """(cell columns, rows, row block) of each group of rows that read
+        the same cell columns, for calls whose c2, slope, bw and fw are
+        arrays where `arrays` says; made on the first such call and kept.
+
+        The cells have a column for each template and for each of those
+        scalars that is an array.
+        """
+        groups = self._plan_groups.get(arrays)
+        if groups is None:
+            slots = (True,) * self.n_contrib + arrays
+            column = np.cumsum(slots) - 1  # the cell column of each array slot
+            mask = sum(1 << slot for slot, on in enumerate(slots) if on)
+            keys, group_of_row = np.unique(self._read_keys() & mask, return_inverse=True)
+            groups = []
+            for g, key in enumerate(keys.tolist()):
+                rows = np.flatnonzero(group_of_row == g)
+                columns = tuple(int(column[slot]) for slot in range(len(slots)) if key >> slot & 1)
+                groups.append((columns, rows, self._rows(rows)))
+            self._plan_groups[arrays] = groups
+        return groups
+
+    def _order(self, arrays: tuple, taken: tuple) -> tuple[_Rows, np.ndarray]:
+        """(the rows scored per point, the row of each (position, live set)
+        in the order [those rows, then each taken group's rows]) when the
+        groups `taken` of `_groups(arrays)` are scored apart; kept."""
+        key = arrays, taken
+        if key not in self._plan_orders:
+            groups = self._groups(arrays)
+            grouped = [groups[g][1] for g in taken]
+            rest = np.ones(len(self.row_positions), dtype=bool)
+            rest[np.concatenate(grouped)] = False
+            order = np.concatenate([np.flatnonzero(rest), *grouped])
+            rank = np.empty(len(order), dtype=np.intp)
+            rank[order] = np.arange(len(order))
+            self._plan_orders[key] = self._rows(np.flatnonzero(rest)), rank[self._row_index]
+        return self._plan_orders[key]
+
+    def _call_rows(
+        self,
+        templates: np.ndarray,
+        scalars: Sequence[np.ndarray],
+        combos: Optional[_CellCombinations],
+    ) -> _CallRows:
+        """How one call scores this locus's rows.
 
         scalars are c2, slope, bw and fw as float arrays, each 0-d or one
-        value per point; the cells have a column for each template and for
-        each scalar that is not 0-d. Rows are grouped by the cell columns
-        their term reads. A group is scored once per code of its columns
+        value per point. Without cells every row is scored per point. With
+        them, a group of `_groups` is scored once per code of its columns
         where that saves at least _SHARED_ROW_SAVING row terms against
         scoring it at every point, smallest table first, while the tables
         fit a budget of max(points, _CHUNK_ELEMENTS) elements per locus; a
         group that reads no column is its zero fill. The other rows are
-        scored per point, chunk by chunk, and come first in the row order.
+        scored per point, and come first in the row order.
         """
-        if self._keys is None:
-            self._keys = self._read_keys()
-        arrays = [True] * self.n_contrib + [v.ndim > 0 for v in scalars]
-        column = np.cumsum(arrays) - 1  # the cell column of each array slot
-        mask = sum(1 << slot for slot, on in enumerate(arrays) if on)
-        keys, group_of_row, counts = np.unique(
-            self._keys & mask, return_inverse=True, return_counts=True
-        )
-        groups = [
-            tuple(int(column[slot]) for slot in range(len(arrays)) if key >> slot & 1)
-            for key in keys.tolist()
-        ]
-        sizes = [n * combos.count(columns) for n, columns in zip(counts, groups)]
+        if combos is None:
+            return self._every_row
+        arrays = tuple(v.ndim > 0 for v in scalars)
+        groups = self._groups(arrays)
+        sizes = [len(rows) * combos.count(columns) for columns, rows, _ in groups]
         budget = max(combos.batch, _CHUNK_ELEMENTS)
         taken = []
         for g in sorted(range(len(groups)), key=sizes.__getitem__):
-            if counts[g] * combos.batch - sizes[g] < _SHARED_ROW_SAVING:
+            if len(groups[g][1]) * combos.batch - sizes[g] < _SHARED_ROW_SAVING:
                 continue
             if sizes[g] > budget:
                 break
             budget -= sizes[g]
             taken.append(g)
         if not taken:
-            return None
-        tables, grouped = [], []
+            return self._every_row
+        tables = []
         for g in taken:
-            rows, columns = np.flatnonzero(group_of_row == g), groups[g]
-            block = self._rows(rows)
+            columns, _, block = groups[g]
             first, code = combos.find(columns)
             if columns:
-                table = np.empty((len(rows), len(first)))
+                table = np.empty((len(block.positions), len(first)))
                 at_first = (v[first] if v.ndim else v for v in scalars)
                 self._row_terms(block, templates[first], *at_first, table)
             else:
                 table = block.zero_fill
             tables.append((table, code))
-            grouped.append(rows)
-        # the rest, then each group's rows: the row of each (position, set)
-        rest = np.ones(len(self.row_positions), dtype=bool)
-        rest[np.concatenate(grouped)] = False
-        order = np.concatenate([np.flatnonzero(rest), *grouped])
-        rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        return _SharedRows(self._rows(np.flatnonzero(rest)), tables, rank[self._row_index])
+        rest, row_index = self._order(arrays, tuple(taken))
+        return _CallRows(rest, tables, row_index)
+
+    def _add_log10_marginals(
+        self,
+        templates: np.ndarray,
+        scalars: Sequence[np.ndarray],
+        combos: Optional[_CellCombinations],
+        rows: int,
+        total: np.ndarray,
+    ) -> None:
+        """Add each point's log10 marginal over this locus's sets to total,
+        in chunks of `rows` points; scalars as for `_call_rows`.
+
+        Each chunk's row terms form one (rows, points) table, which
+        `set_log10_likelihoods` gathers and sums. The rows scored per point
+        are scored for a block of several chunks in one pass, so the numpy
+        calls of a pass are paid once per block, while the pass's
+        temporaries stay within _BLOCK_ELEMENTS elements.
+        """
+        rest, tables, row_index = self._call_rows(templates, scalars, combos)
+        n_rest, batch = len(rest.positions), len(templates)
+        span = rows * max(1, _BLOCK_ELEMENTS // (rows * max(1, rest.copies.shape[1])))
+        for start in range(0, batch, span):
+            stop = min(start + span, batch)
+            ahead = None
+            if n_rest and stop - start > rows:
+                block = slice(start, stop)
+                ahead = np.empty((n_rest, stop - start))
+                self._row_terms(rest, templates[block], *_points(scalars, block), ahead)
+            for lo in range(start, stop, rows):
+                part = slice(lo, min(lo + rows, stop))
+                args = _points(scalars, part)
+                term = np.empty((len(self.row_positions), part.stop - lo))
+                if ahead is not None:
+                    term[:n_rest] = ahead[:, lo - start : part.stop - start]
+                elif n_rest:
+                    self._row_terms(rest, templates[part], *args, term[:n_rest])
+                at = n_rest
+                for table, code in tables:
+                    np.take(table, code[part], axis=1, out=term[at : at + len(table)], mode="clip")
+                    at += len(table)
+                per_set = self.set_log10_likelihoods(
+                    templates[part], *args, shared=(term, row_index)
+                ).T
+                per_set += self.log10_priors[:, None]
+                total[part] += _log10sumexp_sets(per_set)
+                # per_set holds the chunk's whole gather: freed, with the
+                # chunk's terms, before the next chunk allocates its own,
+                # the gather reuses its pages instead of faulting in fresh
+                # ones
+                del per_set, term
 
     def set_log10_likelihoods(
         self,
@@ -775,7 +917,7 @@ class LocusEvaluator:
         slope: np.ndarray,
         bw: np.ndarray,
         fw: np.ndarray,
-        shared: Optional[_SharedRows] = None,
+        shared: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """(batch, live sets) log10 per-set locus likelihoods: the transposed
         view of a (live sets, batch) array. That array is the first position
@@ -787,24 +929,18 @@ class LocusEvaluator:
         (batch,) arrays or numbers. Terms of a feature the model config
         disables are not used. Each set's position terms are added one
         position at a time in position order, so a value does not depend
-        on the batch size. `shared` is `MixtureEvaluator.marginal_log10`'s
-        on a mesh: the row groups it scored once per cell combination over
-        the whole call, with the code of each of this batch's points.
+        on the batch size. `shared`, which `MixtureEvaluator.marginal_log10`
+        passes, is these points' row terms, already scored, as a (rows,
+        batch) table, with the row of each (position, live set) in it.
         """
-        templates = np.atleast_2d(np.asarray(templates, dtype=float))
-        c2, slope, bw, fw = (np.asarray(v, dtype=float) for v in (c2, slope, bw, fw))
-        term = np.empty((len(self.row_positions), len(templates)))
         if shared is None:
+            templates = np.atleast_2d(np.asarray(templates, dtype=float))
+            c2, slope, bw, fw = (np.asarray(v, dtype=float) for v in (c2, slope, bw, fw))
+            term = np.empty((len(self.row_positions), len(templates)))
             self._row_terms(self._all_rows, templates, c2, slope, bw, fw, term)
             row_index = self._row_index
         else:
-            rest, tables, row_index = shared
-            lo = len(rest.positions)
-            if lo:
-                self._row_terms(rest, templates, c2, slope, bw, fw, term[:lo])
-            for table, code in tables:
-                np.take(table, code, axis=1, out=term[lo : lo + len(table)], mode="clip")
-                lo += len(table)
+            term, row_index = shared
 
         # gathered to (positions, live sets, batch) and summed one position at
         # a time: numpy's sum would take a (positions, 1, 1) block, one set
@@ -814,6 +950,12 @@ class LocusEvaluator:
         for terms in gathered[1:]:
             total += terms
         return total.T
+
+
+def _points(scalars: Sequence[np.ndarray], part: slice) -> list:
+    """The scalars at the points of `part`: an array's slice, a number as
+    it is."""
+    return [v[part] if v.ndim else v for v in scalars]
 
 
 class MixtureEvaluator:
@@ -885,24 +1027,11 @@ class MixtureEvaluator:
         if self.excluded:
             return np.full(batch, NEG_INF)
         rows = max(1, _CHUNK_ELEMENTS // max(self._width, 1))
-        combos = None
-        if cells is not None and batch > 1:
-            combos = _CellCombinations(cells)
-            scalars = [np.asarray(v, dtype=float) for v in scalars]
+        scalars = [np.asarray(v, dtype=float) for v in scalars]
+        combos = _CellCombinations(cells) if cells is not None and batch > 1 else None
         total = np.zeros(batch)
         for ev in self.evaluators:
-            shared = None if combos is None else ev._shared_rows(templates, scalars, combos)
-            for lo in range(0, batch, rows):
-                part = slice(lo, lo + rows)
-                args = [v[part] if v.ndim else v for v in scalars]
-                chunk = None if shared is None else shared.at(part)
-                per_set = ev.set_log10_likelihoods(templates[part], *args, shared=chunk).T
-                per_set += ev.log10_priors[:, None]
-                total[part] += _log10sumexp_sets(per_set)
-                # per_set holds the chunk's whole gather: freed before the
-                # next chunk allocates its own, the gather reuses its pages
-                # instead of faulting in fresh ones
-                del per_set
+            ev._add_log10_marginals(templates, scalars, combos, rows, total)
         return total
 
     def marginal_log10_params(self, params: MassParams) -> float:

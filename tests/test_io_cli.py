@@ -113,6 +113,10 @@ def toy_files(tmp_path, toy_profile, toy_table):
     return tmp_path
 
 
+# a study spec key given this value is left out of the JSON
+_DROP = object()
+
+
 class TestCli:
     def test_toy_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "toy"
@@ -265,7 +269,9 @@ class TestCli:
         assert next(iter(config)) in capsys.readouterr().err
 
     @staticmethod
-    def _study(tmp_path, **extra):
+    def _study(tmp_path, whole=None, **extra):
+        """Run a one-case study whose JSON is `whole`, or the default spec
+        with `extra` merged in and each key given as _DROP left out."""
         freqs = {"L0": {"10": 0.4, "11": 0.35, "12": 0.25}}
         mio.write_frequency_table(tmp_path / "freq.csv", FrequencyTable(freqs, n_individuals=500))
         spec = {
@@ -276,7 +282,8 @@ class TestCli:
             "n_starts": 1,
             **extra,
         }
-        (tmp_path / "study.json").write_text(json.dumps(spec))
+        spec = {k: v for k, v in spec.items() if v is not _DROP}
+        (tmp_path / "study.json").write_text(json.dumps(spec if whole is None else whole))
         return main(
             ["study", "--config", str(tmp_path / "study.json"), "--seed", "3",
              "--out", str(tmp_path / "study_out")]
@@ -307,6 +314,10 @@ class TestCli:
             ({"engines": "MLE"}, "engines"),
             ({"engines": []}, "engines"),
             ({"engines": ["MLE", "MLE"]}, "engines"),
+            ({"whole": [1, 2]}, "JSON object"),
+            ({"freq": _DROP}, "freq"),
+            ({"freq": 5}, "freq"),
+            ({"policy": 5}, "policy"),
         ],
     )
     def test_study_bad_config_is_validation_error(self, tmp_path, extra, key, capsys):
@@ -314,7 +325,15 @@ class TestCli:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "spec", [{"noc": 2.7}, {"noc": "2"}, {"noc": True}, [1], {"noc": 2, "fixed": ["poi.csv"]}]
+        "spec",
+        [
+            {"noc": 2.7},
+            {"noc": "2"},
+            {"noc": True},
+            [1],
+            {"noc": 2, "fixed": ["poi.csv"]},
+            {"label": "Hd"},
+        ],
     )
     def test_lr_malformed_proposition_is_validation_error(self, toy_files, spec, capsys):
         (toy_files / "hd.json").write_text(json.dumps(spec))
@@ -330,6 +349,20 @@ class TestCli:
         )
         assert code == EXIT_VALIDATION
         assert "proposition" in capsys.readouterr().err
+
+    def test_study_stamp_covers_policy_but_not_an_ignored_seed_key(self, tmp_path, capsys):
+        hashes = {}
+        for name, extra in (
+            ("5over2n", {"policy": "5over2n"}),
+            ("betamean", {"policy": "betamean"}),
+            ("seeded", {"policy": "5over2n", "seed": 99}),
+        ):
+            (tmp_path / name).mkdir()
+            assert self._study(tmp_path / name, **extra) == EXIT_OK
+            summary = json.loads((tmp_path / name / "study_out" / "summary.json").read_text())
+            hashes[name] = summary["metadata"]["config_hash"]
+        assert hashes["5over2n"] != hashes["betamean"]
+        assert hashes["5over2n"] == hashes["seeded"]
 
     def test_study_sets_model_config_and_prior(self, tmp_path, capsys):
         code = self._study(

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from mixlr import likelihood
@@ -212,6 +212,52 @@ class TestNanIsNotAnExclusion:
         assert got[1:2].tobytes() == ev.marginal_log10(np.array([[400.0, 500.0]]), 12.0).tobytes()
         # no template explains no peak: a structural exclusion
         assert got[2] == NEG_INF
+
+
+class TestSetSumAlongTheBatch:
+    """A wide (sets, batch) block sums each point's sets along its batch
+    axis in the order numpy's pairwise sum takes one row of the sets. It
+    must match numpy's own row sum bit for bit, so a numpy release that
+    changes that order shows here."""
+
+    @settings(max_examples=80, deadline=None)
+    @example(n=7, extra=1, seed=1)
+    @example(n=8, extra=1, seed=2)
+    @example(n=9, extra=1, seed=3)
+    @example(n=127, extra=1, seed=4)
+    @example(n=128, extra=1, seed=5)
+    @example(n=129, extra=1, seed=6)
+    @example(n=255, extra=1, seed=7)
+    @example(n=256, extra=1, seed=8)
+    @example(n=257, extra=1, seed=9)
+    @example(n=600, extra=1, seed=10)
+    @given(
+        n=st.one_of(
+            st.integers(1, 600), st.sampled_from([7, 8, 9, 127, 128, 129, 255, 256, 257])
+        ),
+        extra=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_row_sum(self, n, extra, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(scale=0.7, size=(n, n + extra))  # wide: more points than sets
+        values[rng.random(values.shape) < 0.1] -= 400.0  # past the _MIN_LN clip
+        values[rng.random(values.shape) < 0.1] = NEG_INF
+        values[:, 0] = NEG_INF  # an excluded point
+        values[rng.integers(n), 1] = np.nan
+
+        # the row formula over a (batch, sets)-contiguous copy, one row per point
+        rows = np.ascontiguousarray(values.T)
+        m = rows.max(axis=1, keepdims=True)
+        m_safe = np.where(m == NEG_INF, 0.0, m)
+        scaled = np.exp(np.maximum(likelihood.LN10 * (rows - m_safe), likelihood._MIN_LN))
+        want = np.where(m[:, 0] == NEG_INF, NEG_INF, m_safe[:, 0] + np.log10(scaled.sum(axis=1)))
+
+        got = likelihood._log10sumexp_sets(values.copy())
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[0] == NEG_INF and math.isnan(got[1])
+        kept = ~np.isnan(want)
+        assert got[kept].tobytes() == want[kept].tobytes()
 
 
 class TestVectorisedAgreement:
@@ -626,12 +672,66 @@ class TestMeshCells:
             points, cells, _ = _midpoint_mesh(n, 2, (0, 1))
             templates, *scalars = space.from_cube(points)
             arrays = [np.asarray(v, dtype=float) for v in scalars]
-            shared[n] = lev._shared_rows(templates, arrays, likelihood._CellCombinations(cells))
-        assert shared[16] is None
+            shared[n] = lev._call_rows(templates, arrays, likelihood._CellCombinations(cells))
+        assert shared[16].tables == [] and len(shared[16].rest.positions) == len(lev.row_positions)
         widths = sorted(table.shape[1] for table, _ in shared[128].tables)
         assert widths == [1, 128, 128]
         grouped = sum(len(table) for table, _ in shared[128].tables)
         assert len(shared[128].rest.positions) + grouped == len(lev.row_positions)
+
+
+class TestMeshPlan:
+    """Each evaluator keeps its row groups, their blocks and its gather
+    order per pattern of array-valued scalars, and scores its per-point
+    rows a block of chunks at a time; neither may move a bit."""
+
+    @staticmethod
+    def _evaluator(policy):
+        # the int_2p Hd shape: two loci of alleles 10/11/12, two unknowns
+        peaks = [Peak("10", 900.0), Peak("11", 650.0), Peak("12", 420.0)]
+        profile = Profile({"L0": peaks, "L1": peaks[:2]}, 50.0)
+        table = FrequencyTable(
+            {locus: {"10": 0.45, "11": 0.30, "12": 0.25} for locus in ("L0", "L1")},
+            n_individuals=500,
+        )
+        return likelihood.build_evaluator(profile, Proposition(noc=2), table, policy)
+
+    @staticmethod
+    def _mesh(c2, n):
+        space = ParamSpace(2, ModelConfig(), ParamBox(template_hi=3000.0, c2=c2))
+        points, cells, _ = _midpoint_mesh(n, space.ndim, (0, 1))
+        return space.from_cube(points), cells
+
+    def test_one_evaluator_serves_calls_of_other_patterns(self, policy, monkeypatch):
+        # c2 pinned, then free (a column of its own), then pinned again
+        monkeypatch.setattr(likelihood, "_SHARED_ROW_SAVING", 1)
+        ev = self._evaluator(policy)
+        for c2 in (12.0, None, 12.0):
+            args, cells = self._mesh(c2, 12)
+            got = ev.marginal_log10(*args, cells=cells)
+            fresh = self._evaluator(policy).marginal_log10(*args, cells=cells)
+            assert got.tobytes() == fresh.tobytes(), c2
+        assert all(len(lev._plan_groups) == 2 for lev in ev.evaluators)
+
+    def test_multi_block_call_equals_the_decoded_points(self, policy, monkeypatch):
+        ev = self._evaluator(policy)
+        args, cells = self._mesh(None, 12)
+        want = ev.marginal_log10(*args)
+        templates, *scalars = args
+        arrays = [np.asarray(v, dtype=float) for v in scalars]
+        rows = 7
+        monkeypatch.setattr(likelihood, "_SHARED_ROW_SAVING", 1)
+        monkeypatch.setattr(likelihood, "_CHUNK_ELEMENTS", rows * ev._width)
+        combos = likelihood._CellCombinations(cells)
+        calls = [lev._call_rows(templates, arrays, combos) for lev in ev.evaluators]
+        assert all(call.tables and len(call.rest.positions) for call in calls)
+        # each locus's per-point rows are scored three or more chunks at a
+        # time, over many blocks and a ragged last one
+        lin = max(call.rest.copies.shape[1] for call in calls)
+        monkeypatch.setattr(likelihood, "_BLOCK_ELEMENTS", 3 * rows * lin)
+        assert len(templates) > 10 * 3 * rows and len(templates) % (3 * rows)
+        assert ev.marginal_log10(*args, cells=cells).tobytes() == want.tobytes()
+        assert ev.marginal_log10(*args).tobytes() == want.tobytes()
 
 
 class TestMalformedKernelInput:

@@ -18,6 +18,9 @@ diff the two outputs to compare them. The families:
   the default resolution, on the first 10 criterion-3 profiles under two
   model configs the benchmark does not reach: free c2 with back stutter,
   and free c2 with degradation, each peak given a fragment size;
+- `monte_carlo`: Hp and Hd `marginal_monte_carlo` results at 10,000
+  samples with free c2 on the same 10 profiles, each case seeded by its
+  index, which reach the kernel's large calls without cells;
 - `criterion_3`: the 100 `fit_both` reports of acceptance criterion 3;
 - `criterion_4`: the 100 pairs of nested fits of acceptance criterion 4;
 - `criteria_5_6`: the records of the two studies of criteria 5 and 6.
@@ -39,7 +42,7 @@ sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "bench")]
 import test_acceptance as acceptance  # noqa: E402
 import workloads  # noqa: E402
 from mixlr.mle import SearchSpec, fit_both, maximize  # noqa: E402
-from mixlr.integrate import PriorSpec, marginal_quadrature  # noqa: E402
+from mixlr.integrate import PriorSpec, marginal_monte_carlo, marginal_quadrature  # noqa: E402
 from mixlr.model import MassParams, ModelConfig, Peak, Profile, Proposition  # noqa: E402
 from mixlr.study import run_study  # noqa: E402
 
@@ -101,6 +104,15 @@ def quadrature():
                 )
 
 
+def monte_carlo():
+    table, policy, cases = acceptance._synthetic_cases(10, seed=31)
+    prior = PriorSpec(template_hi=3000.0)
+    for i, (prof, donors) in enumerate(cases):
+        hp = Proposition(noc=2, fixed_contributors={0: donors[0]}, label="Hp")
+        for prop in (hp, Proposition(noc=2, label="Hd")):
+            yield marginal_monte_carlo(prof, prop, table, policy, prior=prior, seed=i)
+
+
 def criterion_3():
     table, policy, cases = acceptance._synthetic_cases(100, seed=31)
     for i, (prof, donors) in enumerate(cases):
@@ -129,7 +141,9 @@ def criteria_5_6():
         yield from run_study(cfg, seed=seed)
 
 
-FAMILIES = (study_3p, int_2p, quadrature, criterion_3, criterion_4, criteria_5_6)
+FAMILIES = (
+    study_3p, int_2p, quadrature, monte_carlo, criterion_3, criterion_4, criteria_5_6
+)
 
 
 def digest(outputs) -> str:
