@@ -711,40 +711,59 @@ def bounded_lrs(
     return lr_at_m2, lr_at_m1
 
 
+def fit_hp(
+    profile: Profile, hp: Proposition, table: FrequencyTable, policy: RareAllelePolicy,
+    config: ModelConfig, search: SearchSpec, hd: MleResult, evaluator: MixtureEvaluator,
+) -> MleResult:
+    """`maximize` under hp, with the Hd optimum `hd` appended to the warm
+    starts when the two propositions share a contributor count and Hd's
+    maximum is finite."""
+    if len(hd.params.templates) == hp.noc and hd.log10_max > NEG_INF:
+        search = replace(search, extra_starts=(*search.extra_starts, hd.params))
+    return maximize(profile, hp, table, policy, config, search, evaluator=evaluator)
+
+
+def fit_pair(
+    profile: Profile, hp: Proposition, hd: Proposition, table: FrequencyTable,
+    policy: RareAllelePolicy, config: ModelConfig, search: SearchSpec,
+    hp_search: SearchSpec, ev_p: MixtureEvaluator, ev_d: MixtureEvaluator,
+) -> tuple[MleResult, MleResult]:
+    """The (Hp, Hd) fits of one MLE LR: Hd with `search`, then Hp with
+    `hp_search` through `fit_hp`. At a shared contributor count, up to 4
+    rounds then polish Hd from the Hp optimum and stop if Hd stays, else
+    refit Hp through `fit_hp`. Once Hd stays, each maximum is at least what
+    the other's optimum scores under it (Hd to POLISH_MARGIN), which is the
+    bracket of `bounded_lrs`."""
+    res_d = maximize(profile, hd, table, policy, config, search, evaluator=ev_d)
+    res_p = fit_hp(profile, hp, table, policy, config, hp_search, res_d, ev_p)
+    for _ in range(4 if hp.noc == hd.noc else 0):
+        if res_p.log10_max == NEG_INF:
+            break
+        polished = polish(res_d, res_p.params, profile, hd, table, policy, config, search, ev_d)
+        if polished is res_d:
+            break
+        res_d = polished
+        res_p = fit_hp(profile, hp, table, policy, config, hp_search, res_d, ev_p)
+    return res_p, res_d
+
+
 def fit_both(
-    profile: Profile,
-    hp: Proposition,
-    hd: Proposition,
-    table: FrequencyTable,
-    policy: RareAllelePolicy,
-    config: Optional[ModelConfig] = None,
+    profile: Profile, hp: Proposition, hd: Proposition, table: FrequencyTable,
+    policy: RareAllelePolicy, config: Optional[ModelConfig] = None,
     search: SearchSpec = SearchSpec(),
 ) -> MlLrReport:
-    """Fit both hypotheses and report LR_ML with its bounds.
-
-    When the hypotheses share a contributor count, each fit is polished
-    from the other's optimum until neither improves; this enforces the
-    bracket lr_at_M2 <= lr_ml <= lr_at_M1 by construction rather than by
-    optimizer luck. Bounds are omitted for mismatched NoC.
-    """
+    """LR_ML and its bounds from `fit_pair` with `search` on both sides, so
+    a caller's extra_starts warm-start both fits and Hp also starts from the
+    Hd optimum. At a shared contributor count its guard enforces the bracket
+    lr_at_M2 <= lr_ml <= lr_at_M1 by construction rather than by optimizer
+    luck; bounds are omitted for mismatched NoC."""
     config = config or ModelConfig()
     ev_p = build_evaluator(profile, hp, table, policy, config)
     ev_d = build_evaluator(profile, hd, table, policy, config)
-    res_p = maximize(profile, hp, table, policy, config, search, evaluator=ev_p)
-    res_d = maximize(profile, hd, table, policy, config, search, evaluator=ev_d)
-
-    same_space = hp.noc == hd.noc
-    if same_space:
-        for _ in range(4):
-            new_p = polish(res_p, res_d.params, profile, hp, table, policy, config, search, ev_p)
-            new_d = polish(res_d, new_p.params, profile, hd, table, policy, config, search, ev_d)
-            if new_p is res_p and new_d is res_d:
-                break
-            res_p, res_d = new_p, new_d
-
+    res_p, res_d = fit_pair(profile, hp, hd, table, policy, config, search, search, ev_p, ev_d)
     l = log10_lr(res_p, res_d)
     lo = hi = None
-    if same_space and res_p.log10_max > NEG_INF and res_d.log10_max > NEG_INF:
+    if hp.noc == hd.noc and res_p.log10_max > NEG_INF and res_d.log10_max > NEG_INF:
         lo, hi = bounded_lrs(ev_p, ev_d, res_p.params, res_d.params)
     return MlLrReport(
         numerator=res_p,

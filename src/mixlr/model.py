@@ -183,10 +183,10 @@ class MassParams:
 
     def __post_init__(self):
         object.__setattr__(self, "templates", tuple(float(t) for t in self.templates))
-        if any(t < 0 for t in self.templates):
-            raise ValueError("templates must be >= 0")
-        if not self.variance_c2 > 0:
-            raise ValueError("variance_c2 must be > 0")
+        if not all(0 <= t < math.inf for t in self.templates):
+            raise ValueError(f"templates must be finite and >= 0, got {self.templates}")
+        if not 0 < self.variance_c2 < math.inf:
+            raise ValueError(f"variance_c2 must be finite and > 0, got {self.variance_c2}")
         if not 0 < self.degradation_slope <= 1:
             raise ValueError("degradation_slope must be in (0, 1]")
         for name in ("bw_stutter_prop", "fw_stutter_prop"):

@@ -27,7 +27,7 @@ from .integrate import (
     marginal_quadrature,
 )
 from .likelihood import NEG_INF, build_evaluator, log10_ratio
-from .mle import SearchSpec, log10_lr, maximize, polish
+from .mle import SearchSpec, fit_hp, fit_pair, log10_lr
 from .model import (
     HD,
     HP,
@@ -287,16 +287,18 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
     """Simulate cases and score every candidate POI with every engine.
 
     Per case the Hd work (fit or marginal) is done once and shared across
-    candidates; the Hd optimum also warm-starts each Hp fit. A case scores
-    each distinct candidate once: candidates with the same genotypes at
-    the profile's loci share one Hp evaluator, fit and marginal, so a
-    repeat's records are its first occurrence's but for the donor label.
-    Each proposition's genotype sets are enumerated and wrapped in an
-    evaluator once, and both engines score it through that evaluator.
-    Nothing is kept from one case to the next. A case lists
-    its MLE records before its INT records. An exception from either
-    engine propagates and ends the study; a structural exclusion is not a
-    failure but a record with no LR.
+    candidates. The MLE takes the Hd fit and the true donor's Hp fit from
+    one `mle.fit_pair`, which guards Hd through the donor's optimum, and
+    each other candidate's Hp fit from `mle.fit_hp`, warm-started from Hd.
+    A case scores each distinct candidate once: candidates with the same
+    genotypes at the profile's loci share one Hp evaluator, fit and
+    marginal, so a repeat's records are its first occurrence's but for the
+    donor label. Each proposition's genotype sets are enumerated and
+    wrapped in an evaluator once, and both engines score it through that
+    evaluator. Nothing is kept from one case to the next. A case lists its
+    MLE records before its INT records. An exception from either engine
+    propagates and ends the study; a structural exclusion is not a failure
+    but a record with no LR.
     """
     records: list[LrRecord] = []
     root = np.random.SeedSequence(seed)
@@ -330,7 +332,6 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
         def evaluator(prop):
             return build_evaluator(profile, prop, cfg.table, cfg.policy, cfg.config)
 
-        # the true donor's Hp evaluator also serves the MLE Hd probe
         ev_d, ev_donor = evaluator(hd), evaluator(hp_donor)
         donor_fit = None
 
@@ -342,39 +343,17 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
                 n_starts=cfg.n_starts,
                 seed=int(np.random.default_rng(engine_seeds[ENGINE_MLE]).integers(2**31)),
             )
-            res_d = maximize(
-                profile, hd, cfg.table, cfg.policy, cfg.config, search, evaluator=ev_d
-            )
             # per-candidate Hp fits trade tolerance for speed: the study needs
             # directional statistics, not 1e-6 optima; the Hd optimum warm-starts
-            # every candidate, and the iteration budget grows with the
-            # dimension of the template space
+            # every candidate, and the iteration budget grows with the dimension
+            # of the template space. The true donor's fit guards the shared Hd.
             warm = replace(
-                search,
-                n_starts=1,
-                xtol=1e-4,
-                max_iter=150 * cfg.noc,
-                boundary_passes=False,
-                extra_starts=(res_d.params,),
+                search, n_starts=1, xtol=1e-4, max_iter=150 * cfg.noc, boundary_passes=False
             )
-            # every candidate's LR shares this denominator, so guard against
-            # a boundary-trapped Hd optimum: probe the profile through the
-            # true donor's Hp fit and re-polish Hd from that point, which
-            # can only raise the Hd maximum. The probe is the donor's own
-            # fit unless Hd moves.
-            donor_fit = maximize(
-                profile, hp_donor, cfg.table, cfg.policy, cfg.config, warm,
-                evaluator=ev_donor,
+            donor_fit, res_d = fit_pair(
+                profile, hp_donor, hd, cfg.table, cfg.policy, cfg.config, search, warm,
+                ev_donor, ev_d,
             )
-            if donor_fit.log10_max > NEG_INF:
-                polished = polish(
-                    res_d, donor_fit.params, profile, hd, cfg.table, cfg.policy,
-                    cfg.config, search, ev_d,
-                )
-                if polished is not res_d:
-                    res_d = polished
-                    warm = replace(warm, extra_starts=(res_d.params,))
-                    donor_fit = None
 
         if ENGINE_INT in cfg.engines:
             # every hypothesis in a case is scored by the same estimator, so
@@ -403,9 +382,7 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
         def score(hp, ev_p, res_p=None):
             """The Hp MLE fit, unless one is given, and the Hp INT marginal."""
             if ENGINE_MLE in cfg.engines and res_p is None:
-                res_p = maximize(
-                    profile, hp, cfg.table, cfg.policy, cfg.config, warm, evaluator=ev_p
-                )
+                res_p = fit_hp(profile, hp, cfg.table, cfg.policy, cfg.config, warm, res_d, ev_p)
             int_p = int_marginal(hp, ev_p) if ENGINE_INT in cfg.engines else None
             return res_p, int_p
 
@@ -415,7 +392,7 @@ def run_study(cfg: StudyConfig, seed: int = 0) -> list[LrRecord]:
         # (Hp fit, Hp marginal) per distinct candidate, keyed by its
         # genotypes at the profile's loci: both depend only on the evaluator,
         # the warm start and the prior, so a repeat takes its first
-        # occurrence's. The donor probe's fit is the donor's entry. One Hp
+        # occurrence's. `fit_pair`'s Hp fit is the donor's entry. One Hp
         # evaluator is built at a time, so memory does not grow with the
         # number of candidates.
         scored = {key(donors[0]): score(hp_donor, ev_donor, donor_fit)}

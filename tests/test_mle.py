@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
+from test_acceptance import _synthetic_cases
 from mixlr import mle, toy
 from mixlr.likelihood import NEG_INF, MixtureEvaluator, full_log10_likelihood
 from mixlr.genotypes import FrequencyTable, enumerate_sets
@@ -983,3 +984,74 @@ class TestFitBoth:
             search=SearchSpec(n_starts=6, seed=2),
         )
         assert free.log10_max >= pinned.log10_max - 1e-6
+
+
+# criterion-3 cases whose Hd the guard of `fit_pair` raises, by this much
+# log10, under the criterion's search
+GUARDED = {12: 0.2046, 61: 0.2655, 69: 0.7702}
+
+
+class TestFitPair:
+    """`fit_both` is `fit_pair` with one search on both sides, plus the bounds."""
+
+    @pytest.fixture(scope="class")
+    def criterion_3(self):
+        return _synthetic_cases(100, seed=31)
+
+    @pytest.mark.parametrize("case", sorted(GUARDED))
+    def test_guard_raises_hd_and_the_bracket_holds(self, monkeypatch, criterion_3, case):
+        table, policy, cases = criterion_3
+        prof, donors = cases[case]
+        hp = Proposition(noc=2, fixed_contributors={0: donors[0]}, label="Hp")
+        hd = Proposition(noc=2, label="Hd")
+        rises, real = [], mle.polish
+
+        def recording(best, *args):
+            res = real(best, *args)
+            rises.append(res.log10_max - best.log10_max)
+            return res
+
+        monkeypatch.setattr(mle, "polish", recording)
+        spec = SearchSpec(n_starts=2, seed=case, xtol=1e-3, max_iter=150, boundary_passes=False)
+        rep = fit_both(prof, hp, hd, table, policy, search=spec)
+        # the first polish moves Hd, the second leaves it
+        assert rises[0] == pytest.approx(GUARDED[case], abs=1e-3)
+        assert rises[-1] == 0.0 and len(rises) == 2
+        low, high = math.log10(rep.lr_bound_low), math.log10(rep.lr_bound_high)
+        assert low <= rep.log10_lr_ml + 1e-9 and rep.log10_lr_ml <= high + 1e-9
+
+    def test_fit_both_keeps_the_callers_warm_starts(
+        self, monkeypatch, toy_profile, toy_table, policy
+    ):
+        calls, real = [], mle.maximize
+
+        def recording(profile, prop, table, policy, config, search, **kwargs):
+            res = real(profile, prop, table, policy, config, search, **kwargs)
+            calls.append((prop.label, search.extra_starts, res))
+            return res
+
+        monkeypatch.setattr(mle, "maximize", recording)
+        warm = MassParams((700.0, 300.0), 12.0)
+        search = SearchSpec(c2=12.0, n_starts=3, seed=3, extra_starts=(warm,))
+        hd = Proposition(noc=2, label="Hd")
+        fit_both(toy_profile, POI_BB, hd, toy_table, policy, search=search)
+        (hd_label, hd_starts, res_d), (hp_label, hp_starts, _) = calls[:2]
+        assert (hd_label, hd_starts) == ("Hd", (warm,))
+        assert (hp_label, hp_starts) == ("Hp", (warm, res_d.params))
+
+    @pytest.mark.parametrize("hd_noc", [2, 1])
+    def test_fit_both_fits_through_fit_pair(
+        self, monkeypatch, toy_profile, toy_table, policy, toy_hp, hd_noc
+    ):
+        pairs, real = [], mle.fit_pair
+
+        def counting(profile, hp, hd, *args):
+            out = real(profile, hp, hd, *args)
+            pairs.append(((hp, hd), out))
+            return out
+
+        monkeypatch.setattr(mle, "fit_pair", counting)
+        hd = Proposition(noc=hd_noc, label="Hd")
+        search = SearchSpec(c2=12.0, seed=1)
+        rep = fit_both(toy_profile, toy_hp, hd, toy_table, policy, search=search)
+        assert pairs == [((toy_hp, hd), (rep.numerator, rep.denominator))]

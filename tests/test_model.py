@@ -83,6 +83,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             MassParams(templates=(-1.0,), variance_c2=12.0)
 
+    @pytest.mark.parametrize(
+        "templates, c2, field",
+        [
+            ((math.nan,), 12.0, "templates"),
+            ((100.0, math.inf), 12.0, "templates"),
+            ((-math.inf,), 12.0, "templates"),
+            ((100.0,), math.inf, "variance_c2"),
+            ((100.0,), math.nan, "variance_c2"),
+        ],
+    )
+    def test_massparams_rejects_non_finite_values(self, templates, c2, field):
+        with pytest.raises(ValueError, match=field):
+            MassParams(templates=templates, variance_c2=c2)
+
     def test_massparams_rejects_bad_slope(self):
         with pytest.raises(ValueError):
             MassParams(templates=(100.0,), variance_c2=12.0, degradation_slope=1.5)

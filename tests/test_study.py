@@ -201,23 +201,22 @@ class TestRunStudy:
 
     def test_true_donor_fitted_once(self, monkeypatch, drawn):
         fits = []
-        real = study_mod.maximize
+        real = mle_mod.maximize
 
         def counting(profile, prop, *args, **kwargs):
             res = real(profile, prop, *args, **kwargs)
             fits.append((profile, prop, res.log10_max))
             return res
 
-        # the Hd re-polish calls maximize through mixlr.mle
-        monkeypatch.setattr(study_mod, "maximize", counting)
+        # `fit_pair`, `fit_hp` and `polish` call maximize through mixlr.mle
         monkeypatch.setattr(mle_mod, "maximize", counting)
         cfg = self._config(n_cases=1)
         run_study(cfg, seed=1)
-        # the Hd fit, the true donor's Hp fit that probes Hd, the Hd
-        # re-polish, then one Hp fit per non-donor that differs from every
-        # earlier candidate. The re-polish does not raise Hd here, by more
-        # than the polish margin that would replace it, so the probe serves
-        # as the true donor's fit.
+        # the Hd fit, the true donor's Hp fit, the guard's polish of Hd from
+        # it, then one Hp fit per non-donor that differs from every earlier
+        # candidate. The polish does not raise Hd here, by more than the
+        # polish margin that would replace it, so the guard stops after one
+        # round and its Hp fit serves as the true donor's.
         profile, donor = fits[1][0], fits[1][1].fixed_contributors[0]
         keys = [_key(profile, g) for g in [donor, *drawn]]
         assert len(set(keys)) < len(keys)
@@ -226,17 +225,26 @@ class TestRunStudy:
 
     def test_each_distinct_candidate_is_scored_once(self, monkeypatch, drawn):
         fits, marginals = [], []
-        real_fit, real_marginal = study_mod.maximize, study_mod.marginal_quadrature
+        real_pair, real_hp = mle_mod.fit_pair, mle_mod.fit_hp
+        real_marginal = study_mod.marginal_quadrature
 
-        def fit(profile, prop, *args, **kwargs):
+        def pair(profile, hp, hd, *args):
+            fits.append((profile, hd))
+            return real_pair(profile, hp, hd, *args)
+
+        def fit_hp(profile, prop, *args):
             fits.append((profile, prop))
-            return real_fit(profile, prop, *args, **kwargs)
+            return real_hp(profile, prop, *args)
 
         def marginal(profile, prop, *args, **kwargs):
             marginals.append(prop)
             return real_marginal(profile, prop, *args, **kwargs)
 
-        monkeypatch.setattr(study_mod, "maximize", fit)
+        # an Hd fit per `fit_pair` call, and an Hp fit per `fit_hp` call,
+        # the study's own and the one `fit_pair` makes
+        monkeypatch.setattr(study_mod, "fit_pair", pair)
+        monkeypatch.setattr(study_mod, "fit_hp", fit_hp)
+        monkeypatch.setattr(mle_mod, "fit_hp", fit_hp)
         monkeypatch.setattr(study_mod, "marginal_quadrature", marginal)
         cfg = self._config(n_cases=1, n_nondonors_per_case=4, engines=(ENGINE_MLE, ENGINE_INT))
         records = run_study(cfg, seed=0)
@@ -259,6 +267,20 @@ class TestRunStudy:
             for r, k in zip(rs, keys):
                 first = rs[keys.index(k)]
                 assert repr(replace(r, donor_label="")) == repr(replace(first, donor_label=""))
+
+    def test_each_case_fits_hd_through_fit_pair(self, monkeypatch):
+        pairs = []
+        real = study_mod.fit_pair
+
+        def counting(profile, hp, hd, *args):
+            pairs.append((hp.label, hd.label))
+            return real(profile, hp, hd, *args)
+
+        monkeypatch.setattr(study_mod, "fit_pair", counting)
+        cfg = self._config()
+        records = run_study(cfg, seed=1)
+        assert len({r.case_id for r in records}) == cfg.n_cases
+        assert pairs == [(HP, HD)] * cfg.n_cases
 
     def test_true_donor_supported(self):
         records = run_study(self._config(), seed=4)

@@ -22,6 +22,9 @@ diff the two outputs to compare them. The families:
   samples with free c2 on the same 10 profiles, each case seeded by its
   index, which reach the kernel's large calls without cells;
 - `criterion_3`: the 100 `fit_both` reports of acceptance criterion 3;
+- `cli_mle`: `fit_both` reports on the first 20 criterion-3 profiles at
+  the search `mixlr lr` runs, `SearchSpec(seed=i)`: 8 starts, boundary
+  passes and free c2, which no other family reaches;
 - `criterion_4`: the 100 pairs of nested fits of acceptance criterion 4;
 - `criteria_5_6`: the records of the two studies of criteria 5 and 6.
 
@@ -122,6 +125,14 @@ def criterion_3():
         yield fit_both(prof, hp, hd, table, policy, search=spec)
 
 
+def cli_mle():
+    table, policy, cases = acceptance._synthetic_cases(20, seed=31)
+    for i, (prof, donors) in enumerate(cases):
+        hp = Proposition(noc=2, fixed_contributors={0: donors[0]}, label="Hp")
+        hd = Proposition(noc=2, label="Hd")
+        yield fit_both(prof, hp, hd, table, policy, search=SearchSpec(seed=i))
+
+
 def criterion_4():
     table, policy, cases = acceptance._synthetic_cases(100, seed=41)
     for i, (prof, _) in enumerate(cases):
@@ -142,7 +153,8 @@ def criteria_5_6():
 
 
 FAMILIES = (
-    study_3p, int_2p, quadrature, monte_carlo, criterion_3, criterion_4, criteria_5_6
+    study_3p, int_2p, quadrature, monte_carlo, criterion_3, cli_mle, criterion_4,
+    criteria_5_6,
 )
 
 
